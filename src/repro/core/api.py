@@ -36,7 +36,7 @@ from repro.exceptions import DecompositionError, ReproError
 from repro.graph.cuts import find_bottleneck
 from repro.graph.network import FlowNetwork, Node
 from repro.obs.export import phase_summary
-from repro.obs.recorder import current_recorder
+from repro.obs.recorder import current_recorder, span
 
 __all__ = [
     "COALESCIBLE_METHODS",
@@ -231,12 +231,13 @@ def _dispatch(
     incremental = options.get("incremental")
     block_bits = options.get("block_bits")
     cache = options.get("cache")
-    try:
-        split = find_bottleneck(
-            net, demand.source, demand.sink, max_size=options.get("max_cut_size", 3)
-        )
-    except Exception:
-        split = None
+    with span("bottleneck.cut_search", given=False):
+        try:
+            split = find_bottleneck(
+                net, demand.source, demand.sink, max_size=options.get("max_cut_size", 3)
+            )
+        except DecompositionError:
+            split = None
     if split is not None:
         side = max(len(split.source_side.link_map), len(split.sink_side.link_map))
         if side <= _AUTO_SIDE_BITS:

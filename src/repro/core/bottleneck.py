@@ -355,7 +355,7 @@ def bottleneck_reliability(
     with span("bottleneck.accumulate", patterns=1 << k, strategy=strategy):
         classes = classify_by_support(assignments, k)
         p_patterns = pattern_probabilities(net, cut_links)
-        cache: dict[tuple[int, ...], float] = {}
+        class_memo: dict[tuple[int, ...], float] = {}
         terms: list[float] = []
         for pattern, supported in classes.items():
             if not supported:
@@ -363,16 +363,16 @@ def bottleneck_reliability(
             p_pattern = float(p_patterns[pattern])
             if p_pattern == 0.0:
                 continue
-            r = cache.get(supported)
+            r = class_memo.get(supported)
             if r is None:
                 r = accumulate(source_array, sink_array, supported, strategy=strategy)
-                cache[supported] = r
+                class_memo[supported] = r
             terms.append(p_pattern * r)
 
     details = {
         **base_details,
         "accumulation_strategy": strategy,
-        "distinct_classes": len(cache),
+        "distinct_classes": len(class_memo),
         "incremental": use_incremental,
     }
     if engine_stats is not None:

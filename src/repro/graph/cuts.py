@@ -5,10 +5,10 @@ disconnecting link set of constant size whose removal leaves exactly two
 connected components, each holding at most ``α|E|`` links.  This module
 finds such sets:
 
-* :func:`bridges_between` — the ``k = 1`` fast path via Tarjan bridges;
+* :func:`bridges_between` — the ``k = 1`` fast path: the s-t bridges;
 * :func:`minimal_st_cuts` — exhaustive enumeration of minimal cuts up to
-  a size bound (combinatorial in the bound, fine for the constant ``k``
-  the paper assumes);
+  a size bound, at ``C(|E|, k-1)`` DFS passes of ``O(|V| + |E|)`` for
+  size class ``k`` (fine for the constant ``k`` the paper assumes);
 * :func:`minimum_cardinality_cut` — one smallest cut via unit-capacity
   max-flow (Menger), used to seed / lower-bound the search;
 * :func:`find_bottleneck` — picks the admissible cut minimising the
@@ -16,15 +16,19 @@ finds such sets:
 
 Separation is *undirected*: the paper's components are connected
 components of the link-removal graph, independent of link direction.
+Every connectivity question here goes through one primitive, the s-t
+bridges of ``G - removed`` (:func:`_st_bridge_finder`): ``removed``
+disconnects the terminals exactly when it returns ``None``, and
+``removed ∪ {c}`` does exactly when ``c`` is one of the bridges.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
-from repro.exceptions import DecompositionError
-from repro.graph.connectivity import bridges, component_of, has_path
+from repro.exceptions import DecompositionError, NodeNotFoundError
+from repro.graph.connectivity import bridges
 from repro.graph.network import FlowNetwork, Node
 from repro.graph.transforms import SideSplit, split_on_cut
 
@@ -38,43 +42,102 @@ __all__ = [
     "verify_bottleneck",
 ]
 
+#: ``removed -> sorted s-t bridges of G - removed``, or ``None`` when
+#: ``G - removed`` already separates the terminals.
+StBridges = Callable[[Collection[int]], "list[int] | None"]
+
+
+def _st_bridge_finder(net: FlowNetwork, source: Node, sink: Node) -> StBridges:
+    """Prepare ``net`` once for repeated s-t bridge queries.
+
+    The network becomes an integer-indexed undirected adjacency list
+    (self-loops dropped, parallel links kept apart by index).  Each
+    query runs one iterative Tarjan low-link DFS from ``source`` over the
+    links not in ``removed``; the s-t bridges are the tree links on the
+    ``source -> sink`` tree path whose child cannot reach above its
+    parent (``low[child] > disc[parent]``).
+    """
+    for node in (sink, source):
+        if not net.has_node(node):
+            raise NodeNotFoundError(node)
+    ids = {node: i for i, node in enumerate(net.nodes())}
+    adj: list[list[tuple[int, int]]] = [[] for _ in ids]
+    for link in net.links():
+        if link.tail != link.head:
+            u, v = ids[link.tail], ids[link.head]
+            adj[u].append((v, link.index))
+            adj[v].append((u, link.index))
+    s, t, n = ids[source], ids[sink], len(ids)
+
+    def st_bridges(removed: Collection[int]) -> list[int] | None:
+        disc = [0] * n  # discovery time from 1; 0 means unvisited
+        low = [0] * n
+        parent = [-1] * n
+        via = [-1] * n  # tree link into each node
+        disc[s] = low[s] = clock = 1
+        stack = [(s, iter(adj[s]))]
+        while stack:
+            node, neighbours = stack[-1]
+            for other, link in neighbours:
+                if link == via[node] or link in removed:
+                    continue
+                if disc[other]:
+                    if disc[other] < low[node]:
+                        low[node] = disc[other]
+                else:
+                    clock += 1
+                    disc[other] = low[other] = clock
+                    parent[other], via[other] = node, link
+                    stack.append((other, iter(adj[other])))
+                    break
+            else:
+                stack.pop()
+                up = parent[node]
+                if up >= 0 and low[node] < low[up]:
+                    low[up] = low[node]
+        if not disc[t]:
+            return None
+        found = []
+        node = t
+        while node != s:
+            up = parent[node]
+            if low[node] > disc[up]:
+                found.append(via[node])
+            node = up
+        found.sort()
+        return found
+
+    return st_bridges
+
 
 def is_disconnecting(
     net: FlowNetwork, source: Node, sink: Node, cut: Iterable[int]
 ) -> bool:
     """Whether removing ``cut`` separates the terminals (undirected)."""
-    cut_set = set(cut)
-    alive = [link.index for link in net.links() if link.index not in cut_set]
-    return not has_path(net, source, sink, alive)
+    return _st_bridge_finder(net, source, sink)(set(cut)) is None
 
 
 def is_minimal_cut(
     net: FlowNetwork, source: Node, sink: Node, cut: Sequence[int]
 ) -> bool:
     """Whether ``cut`` disconnects s and t and no proper subset does."""
-    cut_list = list(dict.fromkeys(cut))
-    if len(cut_list) != len(cut):
+    st_bridges = _st_bridge_finder(net, source, sink)
+    removed = set(cut)
+    if len(removed) != len(cut) or st_bridges(removed) is not None:
         return False
-    if not is_disconnecting(net, source, sink, cut_list):
-        return False
-    for index in cut_list:
-        reduced = [c for c in cut_list if c != index]
-        if is_disconnecting(net, source, sink, reduced):
-            return False
-    return True
+    return all(st_bridges(removed - {index}) is not None for index in cut)
 
 
 def bridges_between(net: FlowNetwork, source: Node, sink: Node) -> list[int]:
     """Bridge links that actually separate ``source`` from ``sink``.
 
     A bridge separates its component into two; only bridges whose two
-    sides contain one terminal each are s-t cuts of size one.
+    sides contain one terminal each are s-t cuts of size one.  When the
+    terminals are already apart, removing any link keeps them apart, so
+    every bridge of the network is returned.
     """
-    result = []
-    for index in bridges(net):
-        if is_disconnecting(net, source, sink, [index]):
-            result.append(index)
-    return result
+    found = _st_bridge_finder(net, source, sink)(())
+    return bridges(net) if found is None else found
 
 
 def minimum_cardinality_cut(
@@ -91,7 +154,8 @@ def minimum_cardinality_cut(
     # Local import: repro.flow depends on repro.graph, not vice versa.
     from repro.flow.dinic import DinicSolver
 
-    if not has_path(net, source, sink):
+    st_bridges = _st_bridge_finder(net, source, sink)
+    if st_bridges(()) is None:
         return None
     aux = FlowNetwork(name="unit-aux")
     aux.add_nodes(net.nodes())
@@ -107,19 +171,17 @@ def minimum_cardinality_cut(
     ]
     # The crossing set of the max-flow bipartition is disconnecting; prune
     # it down to a minimal subset (it usually already is minimal).
-    return _prune_to_minimal(net, source, sink, cut)
+    return _prune_to_minimal(st_bridges, cut)
 
 
-def _prune_to_minimal(
-    net: FlowNetwork, source: Node, sink: Node, cut: Sequence[int]
-) -> list[int]:
+def _prune_to_minimal(st_bridges: StBridges, cut: Sequence[int]) -> list[int]:
     current = list(cut)
     changed = True
     while changed:
         changed = False
         for index in list(current):
             reduced = [c for c in current if c != index]
-            if is_disconnecting(net, source, sink, reduced):
+            if st_bridges(reduced) is None:
                 current = reduced
                 changed = True
     return sorted(current)
@@ -135,30 +197,43 @@ def minimal_st_cuts(
 ) -> list[tuple[int, ...]]:
     """All minimal s-t cuts of size at most ``max_size``.
 
-    Enumerates size classes in increasing order and skips any candidate
-    containing an already-found smaller cut (supersets of cuts are never
-    minimal).  Cost is ``O(C(|E|, max_size))`` subsets, each checked in
-    ``O(|V| + |E|)`` — exactly the "constant k" regime of the paper.
+    Size classes come in increasing order, each in
+    :func:`itertools.combinations` order of the link indices.  A size-``k``
+    cut is a ``(k-1)``-prefix ``P`` plus one link ``c > P[-1]``, and
+    ``P ∪ {c}`` disconnects exactly when ``c`` is an s-t bridge of
+    ``G - P``.  So each prefix costs one DFS: prefixes holding an
+    already-found cut are skipped (supersets of cuts are never minimal),
+    and the rest are extended by their bridges.  A disconnecting
+    candidate is minimal exactly when no smaller found cut is a subset of
+    it.  Cost is ``C(|E|, k-1)`` DFS passes of ``O(|V| + |E|)`` for size
+    class ``k`` — the "constant k" regime of the paper.
 
     ``limit`` truncates the result once that many cuts were found.
     """
     if max_size < 1:
         return []
+    st_bridges = _st_bridge_finder(net, source, sink)
+    if st_bridges(()) is None:
+        # Already apart: no nonempty link set is a minimal cut.
+        return []
     found: list[tuple[int, ...]] = []
     found_sets: list[frozenset[int]] = []
     indices = [link.index for link in net.links()]
     for size in range(1, max_size + 1):
-        for candidate in combinations(indices, size):
-            cand_set = frozenset(candidate)
-            if any(smaller <= cand_set for smaller in found_sets if len(smaller) < size):
+        # A prefix holding the last index has no ``c > P[-1]`` to add.
+        for prefix in combinations(indices[:-1], size - 1):
+            prefix_set = frozenset(prefix)
+            if any(cut <= prefix_set for cut in found_sets):
                 continue
-            if not is_disconnecting(net, source, sink, candidate):
-                continue
-            # Disconnecting and not a superset of a smaller cut => check
-            # strict minimality within its own size class.
-            if is_minimal_cut(net, source, sink, candidate):
-                found.append(candidate)
-                found_sets.append(cand_set)
+            last = prefix[-1] if prefix else -1
+            for link in st_bridges(prefix_set) or ():
+                if link <= last:
+                    continue
+                candidate = prefix_set | {link}
+                if any(cut <= candidate for cut in found_sets):
+                    continue
+                found.append(prefix + (link,))
+                found_sets.append(candidate)
                 if limit is not None and len(found) >= limit:
                     return found
     return found

@@ -17,6 +17,7 @@ from repro.graph.builders import (
 )
 from repro.graph.generators import bottlenecked_network, random_network
 from repro.graph.network import FlowNetwork
+from repro.obs.recorder import record
 
 
 class TestCutUpperBound:
@@ -151,6 +152,33 @@ class TestComputeReliability:
         assert result.method in ("naive", "factoring")
         exact = naive_reliability(parallel_links(5), FlowDemand("s", "t", 2)).value
         assert result.value == pytest.approx(exact)
+
+    def test_auto_cut_search_bug_propagates(self, monkeypatch):
+        # Only DecompositionError means "no usable cut"; anything else
+        # is a bug and must not fall back to naive or factoring.
+        import repro.core.api as api
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("cut search bug")
+
+        monkeypatch.setattr(api, "find_bottleneck", broken)
+        with pytest.raises(RuntimeError, match="cut search bug"):
+            compute_reliability(fujita_fig4(), "s", "t", 2)
+
+    def test_auto_cut_search_is_a_span(self):
+        net = bottlenecked_network(
+            source_side_links=6, sink_side_links=6, num_bottlenecks=2, demand=2, seed=0
+        )
+        with record() as rec:
+            result = compute_reliability(net, "s", "t", 2)
+        assert result.method == "bottleneck"
+        searches = [
+            span.attrs["given"]
+            for span in rec.root.iter_spans()
+            if span.name == "bottleneck.cut_search"
+        ]
+        # the search itself, then the engine verifying the cut it was handed
+        assert searches == [False, True]
 
     def test_auto_factoring_for_larger_cutless_networks(self):
         net = parallel_links(14, 1, 0.1)
