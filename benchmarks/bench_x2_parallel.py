@@ -140,107 +140,6 @@ def test_x2_array_engine_scaling(benchmark, show):
     )
 
 
-def test_x2_block_kernel_and_sharded_sweep(benchmark, show, tmp_path):
-    """Bit-parallel block kernel + share-nothing sharded builds, fig4 curve.
-
-    The 33-point fig4 availability curve (the same workload as
-    ``bench_sweep.py``), built four ways at asserted bit-identical
-    values: pointwise x33 (the 1.0x anchor), the cached sweep with the
-    scalar kernel, the cached sweep with the ``block_bits`` kernel
-    (block-level budget screens settle most entries before any solver
-    runs — watch the solve count drop), and a 2-shard share-nothing
-    build whose workers coordinate only through claim files in the
-    cache directory.  Acceptance (asserted): the blocked cold build is
-    >= 5x over pointwise, the sharded cold build still beats pointwise
-    (the first multi-worker configuration in this suite that wins on a
-    single-CPU host — its shards split real work instead of re-doing
-    it), and a warm sharded rerun performs zero max-flow solves.
-    """
-    import numpy as np  # noqa: F811 - keep the bench self-contained
-
-    from repro.core.demand import FlowDemand
-    from repro.core.shard import sharded_sweep
-    from repro.core.sweep import ArrayCache, SweepSpec, compute_reliability_sweep
-    from repro.graph.builders import fujita_fig4
-
-    net = fujita_fig4()
-    demand = FlowDemand("s", "t", 2)
-    spec = SweepSpec.availability([float(v) for v in np.linspace(0.7, 0.99, 33)])
-
-    def run():
-        def pointwise():
-            return [
-                bottleneck_reliability(spec.point_network(net, i), demand)
-                for i in range(len(spec))
-            ]
-
-        pw = time_call(pointwise, repeats=3)
-        scalar = time_call(
-            lambda: compute_reliability_sweep(
-                net, demand, sweep=spec, cache=ArrayCache()
-            ),
-            repeats=3,
-        )
-        blocked = time_call(
-            lambda: compute_reliability_sweep(
-                net, demand, sweep=spec, block_bits=4, cache=ArrayCache()
-            ),
-            repeats=3,
-        )
-        cache_dir = tmp_path / "shards"
-        sharded = time_call(
-            sharded_sweep,
-            net,
-            demand,
-            sweep=spec,
-            shards=2,
-            cache_dir=str(cache_dir),
-            block_bits=4,
-            repeats=1,
-        )
-        warm = time_call(
-            sharded_sweep,
-            net,
-            demand,
-            sweep=spec,
-            shards=2,
-            cache_dir=str(cache_dir),
-            block_bits=4,
-            repeats=1,
-        )
-        return pw, scalar, blocked, sharded, warm
-
-    pw, scalar, blocked, sharded, warm = benchmark.pedantic(
-        run, rounds=1, iterations=1
-    )
-
-    # Bit-identity across every build path, then the speedup bars.
-    curve = [r.value for r in pw.value]
-    for swept in (scalar, blocked, sharded, warm):
-        assert list(swept.value.values) == curve
-    assert warm.value.flow_calls == 0
-    assert pw.seconds / blocked.seconds >= 5.0
-    assert sharded.seconds < pw.seconds
-
-    rows = [
-        ["pointwise x33", f"{pw.seconds * 1e3:.2f}",
-         sum(r.flow_calls for r in pw.value), "1.00x"],
-        ["sweep cold (scalar kernel)", f"{scalar.seconds * 1e3:.2f}",
-         scalar.value.flow_calls, f"{pw.seconds / scalar.seconds:.2f}x"],
-        ["sweep cold (block_bits=4)", f"{blocked.seconds * 1e3:.2f}",
-         blocked.value.flow_calls, f"{pw.seconds / blocked.seconds:.2f}x"],
-        ["sharded x2 cold (block_bits=4)", f"{sharded.seconds * 1e3:.2f}",
-         sharded.value.flow_calls, f"{pw.seconds / sharded.seconds:.2f}x"],
-        ["sharded x2 warm rerun", f"{warm.seconds * 1e3:.2f}",
-         warm.value.flow_calls, f"{pw.seconds / warm.seconds:.2f}x"],
-    ]
-    show(
-        ["configuration", "ms", "flow calls", "vs pointwise"],
-        rows,
-        title="X2: block kernel + sharded builds on the 33-point fig4 curve",
-    )
-
-
 def test_x2_two_workers(benchmark):
     workload = scaling_workload(12, demand=2, k=2, seed=11)
     result = benchmark.pedantic(

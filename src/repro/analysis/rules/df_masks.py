@@ -3,12 +3,12 @@
 The realization kernels' hot currency is the uint64 *mask array*: one
 word per assignment (or per lattice level), one bit per entity.  Every
 primitive a consumer could want — weighting by popcount, per-bit
-gather, lattice transposes, packing — exists vectorized in
+gather, transposes, packing — exists vectorized in
 :mod:`repro.probability.bitset` (``mask_weights``, ``bitplanes``,
-``pack_bitplanes``, ``lattice_bitplanes``) or as plain numpy
-(``np.bitwise_count``, broadcast shifts).  A per-element Python loop
-over such an array re-introduces exactly the interpreter overhead the
-bit-parallel kernels exist to remove, and it does so silently: the
+``pack_bitplanes``) or as plain numpy (``np.bitwise_count``, broadcast
+shifts).  A per-element Python loop over such an array re-introduces
+exactly the interpreter overhead the vectorized primitives exist to
+remove, and it does so silently: the
 result is still correct, just 100-1000x slower at ``2^m`` scale.
 
 The rule tracks mask-array values flow-sensitively from their producers
@@ -168,8 +168,8 @@ class ScalarMaskLoop(Rule):
     name = "scalar-mask-loop"
     tier = "dataflow"
     rationale = (
-        "per-element Python loops over uint64 mask arrays forfeit the "
-        "bit-parallel kernels; use the vectorized bitset primitives "
+        "per-element Python loops over uint64 mask arrays forfeit "
+        "vectorization; use the vectorized bitset primitives "
         "(mask_weights, bitplanes, pack_bitplanes, np.bitwise_count) "
         "or whole-array numpy expressions"
     )

@@ -42,7 +42,6 @@ from typing import Any, Sequence
 
 from repro._version import __version__
 from repro.core.api import available_methods, compute_reliability
-from repro.core.bitplane import resolve_block_bits
 from repro.core.bounds import reliability_bounds
 from repro.core.demand import FlowDemand
 from repro.core.distribution import flow_value_distribution
@@ -96,17 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sink", "-t", required=True, help="sink node label")
         if with_rate:
             p.add_argument("--rate", "-d", type=int, required=True, help="demand d")
-
-    def _add_block_bits_flag(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--block-bits",
-            type=int,
-            default=None,
-            metavar="B",
-            help="walk the realization lattices in vectorized blocks of "
-            "2^B configurations (the bit-parallel kernel; composes with "
-            "--workers; default: scalar kernels)",
-        )
 
     def _add_incremental_flags(p: argparse.ArgumentParser) -> None:
         group = p.add_mutually_exclusive_group()
@@ -190,7 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for --method naive-parallel, bottleneck or auto "
         "(default: serial)",
     )
-    _add_block_bits_flag(compute)
     _add_incremental_flags(compute)
     compute.add_argument("--json", action="store_true", help="machine-readable output")
     compute.add_argument(
@@ -303,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for --method naive-parallel, bottleneck or auto "
         "(default: serial)",
     )
-    _add_block_bits_flag(profile)
     _add_incremental_flags(profile)
     profile.add_argument(
         "--progress",
@@ -357,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="worker processes for the realization-array build (default: serial)",
     )
-    _add_block_bits_flag(sweep)
     _add_incremental_flags(sweep)
     sweep.add_argument(
         "--cache-dir",
@@ -372,18 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="BYTES",
         help="bound the array cache: least-recently-used columns are "
-        "evicted (memory + disk, never racing a sharded builder's "
-        ".claim) once tracked bytes exceed BYTES",
-    )
-    sweep.add_argument(
-        "--shard",
-        type=int,
-        default=None,
-        metavar="N",
-        help="share-nothing build: N worker processes claim realization "
-        "columns through --cache-dir (atomic .claim files + .npy "
-        "publication), exchanging nothing but cache files; requires "
-        "--cache-dir",
+        "evicted (memory + disk) once tracked bytes exceed BYTES",
     )
     sweep.add_argument("--json", action="store_true", help="machine-readable output")
     _add_telemetry_flags(sweep)
@@ -420,8 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="BYTES",
         help="bound the array cache: least-recently-used columns are "
-        "evicted (memory + disk, never racing a sharded builder's "
-        ".claim) once tracked bytes exceed BYTES",
+        "evicted (memory + disk) once tracked bytes exceed BYTES",
     )
     serve.add_argument(
         "--warm",
@@ -736,7 +709,6 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     if args.method in ("montecarlo", "montecarlo-stratified"):
         options["num_samples"] = args.samples
     options.update(_workers_option(args))
-    options.update(_block_bits_option(args))
     options.update(_incremental_option(args))
     net = load(args.network)
     demand = FlowDemand(args.source, args.sink, args.rate)
@@ -748,7 +720,6 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         params={
             "method": args.method,
             "workers": args.workers,
-            "block_bits": args.block_bits,
             "incremental": args.incremental,
         },
     )
@@ -877,7 +848,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     if args.method in ("montecarlo", "montecarlo-stratified"):
         options["num_samples"] = args.samples
     options.update(_workers_option(args))
-    options.update(_block_bits_option(args))
     options.update(_incremental_option(args))
     net = load(args.network)
     demand = FlowDemand(args.source, args.sink, args.rate)
@@ -947,16 +917,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # Eager option validation before load(), like compute/profile.
     if args.workers is not None and args.workers < 1:
         raise ReproValueError(f"--workers must be >= 1, got {args.workers}")
-    block_bits = resolve_block_bits(args.block_bits)
-    if args.shard is not None:
-        if args.shard < 1:
-            raise ReproValueError(f"--shard must be >= 1, got {args.shard}")
-        if args.cache_dir is None:
-            raise ReproValueError("--shard requires --cache-dir (the work queue)")
-        if args.workers is not None:
-            raise ReproValueError(
-                "--shard and --workers are different parallelisms; pick one"
-            )
     overrides = _parse_link_overrides(args.override)
     if args.availability is not None:
         spec = SweepSpec.availability(_parse_grid(args.availability, "--availability"))
@@ -990,36 +950,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "kind": spec.kind,
             "points": len(spec),
             "workers": args.workers,
-            "block_bits": block_bits,
-            "shard": args.shard,
             "incremental": args.incremental,
             "cache_dir": args.cache_dir,
             "cache_max_bytes": args.cache_max_bytes,
         },
     )
     with session:
-        if args.shard is not None:
-            from repro.core.shard import sharded_sweep  # local: pools live there
-
-            result = sharded_sweep(
-                net,
-                demand,
-                sweep=spec,
-                shards=args.shard,
-                cache_dir=args.cache_dir,
-                incremental=args.incremental,
-                block_bits=block_bits,
-            )
-        else:
-            result = compute_reliability_sweep(
-                net,
-                demand,
-                sweep=spec,
-                workers=args.workers,
-                incremental=args.incremental,
-                block_bits=block_bits,
-                cache=cache,
-            )
+        result = compute_reliability_sweep(
+            net,
+            demand,
+            sweep=spec,
+            workers=args.workers,
+            incremental=args.incremental,
+            cache=cache,
+        )
         session.complete(flow_calls=result.flow_calls)
     stats = result.cache_stats
     if args.json:
@@ -1342,25 +1286,6 @@ def _workers_option(args: argparse.Namespace) -> dict[str, int]:
             f"use one of: {', '.join(_WORKERS_METHODS)}"
         )
     return {"workers": args.workers}
-
-
-#: Methods with a bit-parallel block-kernel path (``auto`` forwards the
-#: option to the bottleneck engine when that path wins).
-_BLOCK_BITS_METHODS = ("bottleneck", "auto")
-
-
-def _block_bits_option(args: argparse.Namespace) -> dict[str, int]:
-    """Validate ``--block-bits`` eagerly and turn it into an option."""
-    if args.block_bits is None:
-        return {}
-    resolved = resolve_block_bits(args.block_bits)
-    assert resolved is not None  # non-None in, non-None out
-    if args.method not in _BLOCK_BITS_METHODS:
-        raise ReproValueError(
-            f"--block-bits is not supported by method {args.method!r}; "
-            f"use one of: {', '.join(_BLOCK_BITS_METHODS)}"
-        )
-    return {"block_bits": resolved}
 
 
 #: Methods with a Gray-walk flow-repair path (``auto`` forwards the

@@ -4,13 +4,6 @@ Monte-Carlo and bounds, plus the dispatching :func:`compute_reliability`."""
 from repro.core.accumulate import accumulate, restrict_masks, side_class_probabilities
 from repro.core.api import available_methods, compute_reliability
 from repro.core.arrays import RealizationArray, build_side_array
-from repro.core.bitplane import (
-    DEFAULT_BLOCK_BITS,
-    BlockStats,
-    blocked_side_masks,
-    build_side_array_blocked,
-    resolve_block_bits,
-)
 from repro.core.assignments import (
     classify_by_support,
     count_assignments,
@@ -77,7 +70,6 @@ from repro.core.rare import (
     splitting_reliability,
 )
 from repro.core.result import EstimateResult, ReliabilityResult
-from repro.core.shard import plan_columns, sharded_sweep
 from repro.core.stratified import (
     poisson_binomial,
     poisson_binomial_suffix,
@@ -130,11 +122,6 @@ __all__ = [
     "describe_assignment",
     "RealizationArray",
     "build_side_array",
-    "DEFAULT_BLOCK_BITS",
-    "BlockStats",
-    "blocked_side_masks",
-    "build_side_array_blocked",
-    "resolve_block_bits",
     "LatticePlan",
     "RealizationScreens",
     "build_realization_arrays",
@@ -149,8 +136,6 @@ __all__ = [
     "SweepResult",
     "cached_side_array",
     "compute_reliability_sweep",
-    "plan_columns",
-    "sharded_sweep",
     # extensions
     "FlowValueDistribution",
     "flow_value_distribution",

@@ -107,13 +107,12 @@ def compute_reliability(
     ``options`` are forwarded to the chosen algorithm (e.g. ``solver=``,
     ``cut=``, ``strategy=``, ``num_samples=``, ``cuts=`` for chain,
     ``workers=`` for the parallel engines, ``incremental=`` for the
-    Gray-walk flow-repair kernels, ``block_bits=`` for the bit-parallel
-    block kernel, ``cache=`` an
+    Gray-walk flow-repair kernels, ``cache=`` an
     :class:`repro.core.sweep.ArrayCache` for realization-array reuse —
-    in ``auto`` mode the ``workers=``, ``incremental=``,
-    ``block_bits=`` and ``cache=`` options reach the bottleneck engine
-    when that path wins; ``incremental=`` also reaches the naive
-    fallback, and all are dropped by factoring).
+    in ``auto`` mode the ``workers=``, ``incremental=`` and ``cache=``
+    options reach the bottleneck engine when that path wins;
+    ``incremental=`` also reaches the naive fallback, and all are
+    dropped by factoring).
 
     Examples
     --------
@@ -229,7 +228,6 @@ def _dispatch(
     solver = options.get("solver")
     workers = options.get("workers")
     incremental = options.get("incremental")
-    block_bits = options.get("block_bits")
     cache = options.get("cache")
     with span("bottleneck.cut_search", given=False):
         try:
@@ -249,7 +247,6 @@ def _dispatch(
                     solver=solver,
                     workers=workers,
                     incremental=incremental,
-                    block_bits=block_bits,
                     cache=cache,
                 )
             except DecompositionError:

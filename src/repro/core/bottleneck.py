@@ -120,7 +120,6 @@ def bottleneck_reliability(
     workers: int | None = None,
     screen: bool = True,
     incremental: bool | None = None,
-    block_bits: int | None = None,
     cache: "ArrayCache | None" = None,
 ) -> ReliabilityResult:
     """Exact reliability via the bottleneck decomposition.
@@ -156,13 +155,6 @@ def bottleneck_reliability(
         whenever the solver supports the warm-start contract; see
         :mod:`repro.flow.incremental`).  Bit-identical masks and value;
         only the solve accounting changes.
-    block_bits:
-        Route the realization builds through the bit-parallel block
-        kernel (:mod:`repro.core.bitplane`) with ``2^block_bits``-sized
-        blocks — serial, with any ``workers`` count (each chunk runs
-        the kernel over its sub-lattice), or under a ``cache``.
-        Bit-identical masks, value and ``details``; only the solve
-        accounting moves.  ``None`` (default) keeps the scalar kernels.
     cache:
         A :class:`repro.core.sweep.ArrayCache`.  When given, both side
         arrays are resolved per-assignment-column through the
@@ -180,9 +172,6 @@ def bottleneck_reliability(
     """
     demand.validate_against(net)
     use_incremental = resolve_incremental(solver, incremental)
-    from repro.core.bitplane import resolve_block_bits  # local: avoids cycle
-
-    block_bits = resolve_block_bits(block_bits)
     with span("bottleneck.cut_search", given=cut is not None):
         if cut is None:
             split = find_bottleneck(
@@ -236,7 +225,6 @@ def bottleneck_reliability(
                 screen=screen,
                 workers=workers,
                 incremental=use_incremental,
-                block_bits=block_bits,
                 cache=cache,
             )
             sink_array = cached_side_array(
@@ -251,50 +239,10 @@ def bottleneck_reliability(
                 screen=screen,
                 workers=workers,
                 incremental=use_incremental,
-                block_bits=block_bits,
                 cache=cache,
             )
         after = cache.stats()
         cache_delta = {key: after[key] - before[key] for key in after}
-    elif workers is None and block_bits is not None:
-        from repro.core.bitplane import build_side_array_blocked  # local: cycle
-
-        with span(
-            "bottleneck.source_array",
-            links=len(split.source_side.link_map),
-            assignments=len(assignments),
-        ):
-            source_array = build_side_array_blocked(
-                split.source_side,
-                role="source",
-                terminal=demand.source,
-                ports=split.source_ports,
-                assignments=assignments,
-                demand=demand.rate,
-                solver=solver,
-                prune=prune,
-                screen=screen,
-                incremental=use_incremental,
-                block_bits=block_bits,
-            )
-        with span(
-            "bottleneck.sink_array",
-            links=len(split.sink_side.link_map),
-            assignments=len(assignments),
-        ):
-            sink_array = build_side_array_blocked(
-                split.sink_side,
-                role="sink",
-                terminal=demand.sink,
-                ports=split.sink_ports,
-                assignments=assignments,
-                demand=demand.rate,
-                solver=solver,
-                prune=prune,
-                screen=screen,
-                incremental=use_incremental,
-                block_bits=block_bits,
-            )
     elif workers is None:
         with span(
             "bottleneck.source_array",
@@ -343,7 +291,6 @@ def bottleneck_reliability(
                 screen=screen,
                 workers=workers,
                 incremental=use_incremental,
-                block_bits=block_bits,
             )
 
     # Eq. (3): sum over the 2^k bottleneck survival patterns.  r_{E'}

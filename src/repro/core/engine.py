@@ -59,7 +59,6 @@ from repro.graph.transforms import SideSplit, SubnetworkView
 from repro.obs.recorder import (
     ARRAY_ENTRIES_BUILT,
     AUGMENTING_PATHS_SAVED,
-    BLOCK_SCREENED,
     FLOW_REPAIRS,
     FLOW_SOLVES,
     SCREENED_SOLVES,
@@ -238,16 +237,6 @@ class RealizationScreens:
             adjacency[link.head].append((link.tail, link.index))
         self._adjacency = adjacency
 
-    @property
-    def feeders(self) -> tuple[tuple[tuple[int, int], ...] | None, ...]:
-        """Per-port feeder ``(link index, capacity)`` pairs (``None`` = unbounded).
-
-        The raw capacity model behind :meth:`port_budgets`, exposed so
-        the block kernel can evaluate whole blocks of budgets with one
-        matmul instead of a per-configuration Python sum.
-        """
-        return tuple(self._feeders)
-
     def port_budgets(self, alive: int) -> list[int | None]:
         """Per-port alive adjacent capacity (``None`` = unbounded)."""
         budgets: list[int | None] = []
@@ -315,56 +304,19 @@ def _build_chunk_masks(
     low_bits: int,
     high_pattern: int,
     incremental: bool = False,
-    block_bits: int | None = None,
-) -> tuple[np.ndarray, int, int, int, int, int]:
+) -> tuple[np.ndarray, int, int, int, int]:
     """Realization masks for one high-bit chunk of one side's lattice.
 
-    Returns ``(masks, flow_calls, screened, block_screened, repairs,
-    paths_saved)`` where ``masks`` is the ``uint64`` array for the
-    chunk's ``2^low_bits`` configurations in low-bit order
-    (``repairs`` / ``paths_saved`` are zero on the cold path;
-    ``block_screened`` is zero on the scalar paths).  Runs identically
-    in-process and inside a worker.  With ``block_bits`` the chunk is
-    filled by the bit-parallel kernel
-    (:func:`repro.core.bitplane.blocked_side_masks`) — the chunk is
-    just a sub-lattice with the chunk pattern as external base, so
-    ``workers`` and ``block_bits`` compose without changing the bits.
+    Returns ``(masks, flow_calls, screened, repairs, paths_saved)``
+    where ``masks`` is the ``uint64`` array for the chunk's
+    ``2^low_bits`` configurations in low-bit order (``repairs`` /
+    ``paths_saved`` are zero on the cold path).  Runs identically
+    in-process and inside a worker.
     """
     template, port_names, s_idx, t_idx = _side_template(
         net, role=role, terminal=terminal, ports=ports, demand=demand
     )
     engine = get_solver(solver)
-
-    if block_bits is not None:
-        from repro.core.bitplane import blocked_side_masks  # local: avoids cycle
-
-        rows, stats = blocked_side_masks(
-            net,
-            template,
-            port_names,
-            s_idx,
-            t_idx,
-            role=role,
-            terminal=terminal,
-            ports=ports,
-            assignments=assignments,
-            demand=demand,
-            solver=engine,
-            prune=prune,
-            screen=screen,
-            incremental=incremental,
-            n_bits=low_bits,
-            external_base=high_pattern << low_bits,
-            block_bits=block_bits,
-        )
-        return (
-            rows,
-            stats.flow_calls,
-            stats.screened,
-            stats.block_screened,
-            stats.repairs,
-            stats.paths_saved,
-        )
 
     screens = (
         RealizationScreens(
@@ -458,7 +410,7 @@ def _build_chunk_masks(
         rows[low] = row
 
     masks = np.asarray(rows, dtype=np.uint64)
-    return masks, flow_calls, screened, 0, 0, 0
+    return masks, flow_calls, screened, 0, 0
 
 
 def _chunk_masks_gray(
@@ -474,7 +426,7 @@ def _chunk_masks_gray(
     prune: bool,
     low_bits: int,
     base: int,
-) -> tuple[np.ndarray, int, int, int, int, int]:
+) -> tuple[np.ndarray, int, int, int, int]:
     """Incremental variant of the chunk build: chunk-local Gray walks.
 
     One :class:`~repro.flow.incremental.IncrementalMaxFlow` per
@@ -534,7 +486,7 @@ def _chunk_masks_gray(
         paths_saved += engine.paths_saved
 
     masks = pack_bitplanes(realized)
-    return masks, flow_calls, screened, 0, repairs, paths_saved
+    return masks, flow_calls, screened, repairs, paths_saved
 
 
 def _chunk_worker(payload: dict[str, Any]) -> dict[str, Any]:
@@ -547,22 +499,19 @@ def _chunk_worker(payload: dict[str, Any]) -> dict[str, Any]:
     """
     start = wallclock()
     net = from_dict(payload["net"])
-    masks, flow_calls, screened, block_screened, repairs, paths_saved = (
-        _build_chunk_masks(
-            net,
-            role=payload["role"],
-            terminal=payload["terminal"],
-            ports=payload["ports"],
-            assignments=payload["assignments"],
-            demand=payload["demand"],
-            solver=payload["solver"],
-            prune=payload["prune"],
-            screen=payload["screen"],
-            low_bits=payload["low_bits"],
-            high_pattern=payload["high_pattern"],
-            incremental=payload["incremental"],
-            block_bits=payload.get("block_bits"),
-        )
+    masks, flow_calls, screened, repairs, paths_saved = _build_chunk_masks(
+        net,
+        role=payload["role"],
+        terminal=payload["terminal"],
+        ports=payload["ports"],
+        assignments=payload["assignments"],
+        demand=payload["demand"],
+        solver=payload["solver"],
+        prune=payload["prune"],
+        screen=payload["screen"],
+        low_bits=payload["low_bits"],
+        high_pattern=payload["high_pattern"],
+        incremental=payload["incremental"],
     )
     result = {
         "side": payload["side"],
@@ -570,7 +519,6 @@ def _chunk_worker(payload: dict[str, Any]) -> dict[str, Any]:
         "masks": masks,
         "flow_calls": flow_calls,
         "screened": screened,
-        "block_screened": block_screened,
         "repairs": repairs,
         "paths_saved": paths_saved,
         "entries": len(payload["assignments"]) * (1 << payload["low_bits"]),
@@ -587,8 +535,6 @@ def _chunk_worker(payload: dict[str, Any]) -> dict[str, Any]:
             SCREENED_SOLVES: screened,
             ARRAY_ENTRIES_BUILT: result["entries"],
         }
-        if block_screened:
-            counters[BLOCK_SCREENED] = block_screened
         if repairs:
             counters[FLOW_REPAIRS] = repairs
         if paths_saved:
@@ -624,7 +570,6 @@ def _side_payloads(
     screen: bool,
     incremental: bool,
     plan: LatticePlan,
-    block_bits: int | None = None,
 ) -> list[dict[str, Any]]:
     """One :func:`_chunk_worker` payload per chunk of one side."""
     net_data = to_dict(side.network)
@@ -645,7 +590,6 @@ def _side_payloads(
             "incremental": incremental,
             "low_bits": plan.low_bits,
             "high_pattern": pattern,
-            "block_bits": block_bits,
         }
         for pattern in range(plan.chunks)
     ]
@@ -678,8 +622,6 @@ def _merge_side(
             count(FLOW_SOLVES, int(r["flow_calls"]))
             count(SCREENED_SOLVES, int(r["screened"]))
             count(ARRAY_ENTRIES_BUILT, int(r["entries"]))
-            if r.get("block_screened"):
-                count(BLOCK_SCREENED, int(r["block_screened"]))
             if r.get("repairs"):
                 count(FLOW_REPAIRS, int(r["repairs"]))
             if r.get("paths_saved"):
@@ -710,7 +652,6 @@ def build_side_array_parallel(
     screen: bool = True,
     workers: int | None = None,
     incremental: bool | None = None,
-    block_bits: int | None = None,
 ) -> RealizationArray:
     """Chunked (optionally multi-process) drop-in for ``build_side_array``.
 
@@ -720,13 +661,8 @@ def build_side_array_parallel(
     same-chunk supersets, so more solves; screens, fewer).
     ``workers=None`` uses :func:`default_workers`; ``incremental=None``
     auto-enables the per-chunk Gray walk whenever the solver supports
-    the warm-start contract; ``block_bits`` routes every chunk through
-    the bit-parallel kernel (:mod:`repro.core.bitplane`) — still
-    bit-identical, only the solve accounting moves.
+    the warm-start contract.
     """
-    from repro.core.bitplane import resolve_block_bits  # local: avoids cycle
-
-    block_bits = resolve_block_bits(block_bits)
     if workers is None:
         workers = default_workers()
     net = side.network
@@ -748,7 +684,6 @@ def build_side_array_parallel(
         screen=screen,
         incremental=use_incremental,
         plan=plan,
-        block_bits=block_bits,
     )
     # Literal span names (not f"engine.{role}_array"): RR111 keeps the
     # span vocabulary closed to the KNOWN_SPANS catalogue.
@@ -779,7 +714,6 @@ def build_realization_arrays(
     screen: bool = True,
     workers: int | None = None,
     incremental: bool | None = None,
-    block_bits: int | None = None,
 ) -> tuple[RealizationArray, RealizationArray, dict[str, Any]]:
     """Both §III-C side arrays through one process pool.
 
@@ -787,13 +721,9 @@ def build_realization_arrays(
     ``G_t`` goes into the same pool and the slow side cannot serialize
     behind the fast one.  Returns ``(source_array, sink_array, stats)``
     with ``stats`` carrying the engine accounting (``workers``,
-    ``screened_solves``, ``block_screened``, per-side chunk counts, and
-    the incremental repair totals when the Gray walk is on).
-    ``block_bits`` switches every chunk to the bit-parallel kernel.
+    ``screened_solves``, per-side chunk counts, and the incremental
+    repair totals when the Gray walk is on).
     """
-    from repro.core.bitplane import resolve_block_bits  # local: avoids cycle
-
-    block_bits = resolve_block_bits(block_bits)
     if workers is None:
         workers = default_workers()
     for side, role, ports in (
@@ -823,7 +753,6 @@ def build_realization_arrays(
         screen=screen,
         incremental=use_incremental,
         plan=source_plan,
-        block_bits=block_bits,
     ) + _side_payloads(
         split.sink_side,
         side_name="sink",
@@ -837,7 +766,6 @@ def build_realization_arrays(
         screen=screen,
         incremental=use_incremental,
         plan=sink_plan,
-        block_bits=block_bits,
     )
     with span(
         "engine.build",
@@ -874,11 +802,9 @@ def build_realization_arrays(
     stats: dict[str, Any] = {
         "workers": workers,
         "screened_solves": source_screened + sink_screened,
-        "block_screened": sum(int(r.get("block_screened", 0)) for r in results),
         "source_chunks": source_plan.chunks,
         "sink_chunks": sink_plan.chunks,
         "incremental": use_incremental,
-        "block_bits": block_bits,
         "flow_repairs": sum(int(r.get("repairs", 0)) for r in results),
         "augmenting_paths_saved": sum(int(r.get("paths_saved", 0)) for r in results),
     }

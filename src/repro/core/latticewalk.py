@@ -38,7 +38,7 @@ def popcount_descending_order(n_bits: int) -> np.ndarray:
     complete: every immediate superset of a mask precedes it, so an
     unrealized superset settles the mask without a solve.  Stable within
     a popcount level (ascending numeric order), which is what keeps the
-    cold scans and the block kernel enumerating identically.
+    cold scans enumerating identically.
     """
     counts = popcount_array(n_bits)
     return np.argsort(-counts.astype(np.int16), kind="stable")

@@ -89,20 +89,14 @@ class MaxFlowSolver(ABC):
     #: the "augmenting-path work" measure the incremental benches compare.
     last_paths: int = 0
 
-    # The per-solver counter family, formatted once per *class* rather
-    # than per solve: the sanctioned shape for dynamic metric names
-    # under RR111 (call sites must pass a bound name, not build one),
-    # and it keeps string formatting out of the hot solve path.
+    # The per-solver counter family, formatted once per *class* (by
+    # register_solver, where the name is assigned) rather than per
+    # solve: the sanctioned shape for dynamic metric names under RR111
+    # (call sites must pass a bound name, not build one), and it keeps
+    # string formatting out of the hot solve path.
     _metric_solves: str = "solver.unnamed.solves"
     _metric_seconds: str = "solver.unnamed.seconds"
     _metric_paths: str = "solver.unnamed.paths"
-
-    def __init_subclass__(cls, **kwargs: object) -> None:
-        super().__init_subclass__(**kwargs)
-        if cls.name:
-            cls._metric_solves = f"solver.{cls.name}.solves"
-            cls._metric_seconds = f"solver.{cls.name}.seconds"
-            cls._metric_paths = f"solver.{cls.name}.paths"
 
     @abstractmethod
     def solve_residual(
@@ -205,6 +199,9 @@ def register_solver(name: str) -> Callable[[type], type]:
         if not issubclass(cls, MaxFlowSolver):
             raise SolverError(f"{cls!r} is not a MaxFlowSolver")
         cls.name = name
+        cls._metric_solves = f"solver.{name}.solves"
+        cls._metric_seconds = f"solver.{name}.seconds"
+        cls._metric_paths = f"solver.{name}.paths"
         _REGISTRY[name] = cls
         return cls
 

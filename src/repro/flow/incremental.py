@@ -347,18 +347,6 @@ class IncrementalMaxFlow:
         self._alive = alive  # include any bits without residual arcs (self-loops)
         return self.flow_value()
 
-    def goto_batch(self, masks: Sequence[int]) -> list[int]:
-        """Evaluate a whole batch of alive bitmasks, returning flow values.
-
-        The batch entry point for array-at-a-time callers (the
-        bit-parallel block kernel hands over every configuration of a
-        block that survived screening and pruning in one call).  Each
-        step is a :meth:`goto` — revives, kills, one deferred augment —
-        so consecutive batch members still repair deltas instead of
-        cold-solving; all repair/saving counters accrue as usual.
-        """
-        return [self.goto(int(mask)) for mask in masks]
-
     def flow_value(self) -> int:
         """The current (limited) max-flow value, augmenting if needed.
 

@@ -33,15 +33,14 @@ from repro.exceptions import ReproValueError
 
 __all__ = [
     "ARRAY_CACHE_BYTES",
+    "ARRAY_CACHE_CORRUPT",
     "ARRAY_CACHE_EVICTED_BYTES",
     "ARRAY_CACHE_EVICTIONS",
     "ARRAY_CACHE_HITS",
     "ARRAY_CACHE_MISSES",
     "ASSIGNMENTS_ENUMERATED",
     "ARRAY_ENTRIES_BUILT",
-    "BLOCK_SCREENED",
     "CONFIGURATIONS_ENUMERATED",
-    "SHARD_CLAIMS",
     "SERVE_COALESCED",
     "SERVE_QUERIES",
     "SERVE_WARM_HITS",
@@ -111,21 +110,14 @@ ARRAY_CACHE_MISSES = "array_cache_misses"
 #: Bytes of bit-packed realization columns moved through the cache
 #: (read on hits + written on stores).
 ARRAY_CACHE_BYTES = "array_cache_bytes"
-#: Realization (configuration, assignment) pairs the bit-parallel block
-#: kernel (``repro.core.bitplane``) settled with its vectorized
-#: block-level budget screen — the matmul that disqualifies whole
-#: blocks before any per-entry work.  A subset of ``screened_solves``
-#: (the lazy per-configuration connectivity screen makes up the rest).
-BLOCK_SCREENED = "block_screened"
-#: Realization columns claimed (and then built + published) by this
-#: process during a share-nothing sharded build
-#: (``repro.core.shard``): one per ``.claim`` file won atomically.
-SHARD_CLAIMS = "shard_claims"
 #: Columns evicted from a bounded :class:`~repro.core.sweep.ArrayCache`
 #: (``max_bytes`` LRU): dropped from memory and unlinked from disk.
 ARRAY_CACHE_EVICTIONS = "array_cache_evictions"
 #: Accounted bytes reclaimed by those evictions.
 ARRAY_CACHE_EVICTED_BYTES = "array_cache_evicted_bytes"
+#: Disk-tier columns that failed to load or had the wrong dtype, shape
+#: or length: unlinked, treated as a miss and rebuilt — never served.
+ARRAY_CACHE_CORRUPT = "array_cache_corrupt"
 #: Queries decoded and answered by the serving daemon
 #: (``repro.serve``): one per protocol ``query`` op.
 SERVE_QUERIES = "serve_queries"
@@ -163,8 +155,7 @@ KNOWN_COUNTERS = frozenset(
         ARRAY_CACHE_BYTES,
         ARRAY_CACHE_EVICTIONS,
         ARRAY_CACHE_EVICTED_BYTES,
-        BLOCK_SCREENED,
-        SHARD_CLAIMS,
+        ARRAY_CACHE_CORRUPT,
         SERVE_QUERIES,
         SERVE_COALESCED,
         SERVE_WARM_HITS,
@@ -183,7 +174,6 @@ KNOWN_COUNTERS = frozenset(
 KNOWN_SPANS = frozenset(
     {
         "bench.call",
-        "bitplane.block",
         "bottleneck.accumulate",
         "bottleneck.arrays",
         "bottleneck.assignments",
@@ -207,7 +197,6 @@ KNOWN_SPANS = frozenset(
         "serve.batch",
         "serve.query",
         "serve.warm",
-        "shard.build",
         "sweep.accumulate",
         "sweep.array_cache",
         "sweep.arrays",

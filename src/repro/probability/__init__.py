@@ -9,7 +9,6 @@ from repro.probability.bitset import (
     indices_from_mask,
     iter_submasks,
     iter_supermasks,
-    lattice_bitplanes,
     mask_from_indices,
     mask_weights,
     pack_bitplanes,
@@ -44,7 +43,6 @@ __all__ = [
     "indices_from_mask",
     "iter_submasks",
     "iter_supermasks",
-    "lattice_bitplanes",
     "mask_from_indices",
     "mask_weights",
     "pack_bitplanes",

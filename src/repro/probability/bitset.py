@@ -22,13 +22,8 @@ MAX_TABLE_BITS = 28
 #: Widest uint64 bit vocabulary :func:`mask_weights` can address.
 MAX_MASK_BITS = 64
 
-#: Largest ``n_bits`` for which :func:`lattice_bitplanes` materialises the
-#: full ``2**n_bits x n_bits`` alive matrix (bool, so 20 MiB at 20).
-MAX_PLANE_BITS = 20
-
 __all__ = [
     "MAX_MASK_BITS",
-    "MAX_PLANE_BITS",
     "MAX_TABLE_BITS",
     "mask_from_indices",
     "indices_from_mask",
@@ -37,7 +32,6 @@ __all__ = [
     "mask_weights",
     "bitplanes",
     "pack_bitplanes",
-    "lattice_bitplanes",
     "iter_submasks",
     "iter_supermasks",
     "gray_code",
@@ -129,7 +123,7 @@ def mask_weights(n_bits: int) -> np.ndarray:
 
     The shared packing vocabulary: every site that turns a boolean
     bit-plane matrix into uint64 masks (realization arrays, Monte-Carlo
-    samples, class restrictions, the block kernel) multiplies by this
+    samples, class restrictions) multiplies by this
     vector instead of rebuilding ``1 << arange`` per call.  Cached per
     width and **read-only**; copy before mutating.
     """
@@ -169,33 +163,6 @@ def pack_bitplanes(planes: np.ndarray) -> np.ndarray:
         raise ReproValueError(f"planes must be 2-D, got shape {matrix.shape}")
     weights = mask_weights(matrix.shape[1])
     return (matrix.astype(np.uint64) @ weights).astype(np.uint64)
-
-
-@lru_cache(maxsize=None)
-def _lattice_plane_table(n_bits: int) -> np.ndarray:
-    """Memoised, **read-only** alive matrix behind :func:`lattice_bitplanes`."""
-    if n_bits > MAX_PLANE_BITS:
-        raise IntractableError(
-            f"a 2^{n_bits} x {n_bits} alive matrix exceeds the budget of 2^{MAX_PLANE_BITS}",
-            required=n_bits,
-            limit=MAX_PLANE_BITS,
-        )
-    codes = np.arange(1 << n_bits, dtype=np.uint64)
-    planes = bitplanes(codes, range(n_bits))
-    planes.setflags(write=False)
-    return planes
-
-
-def lattice_bitplanes(n_bits: int) -> np.ndarray:
-    """Boolean ``(2**n_bits, n_bits)`` matrix: row ``m``, column ``b`` = bit ``b`` of ``m``.
-
-    The alive matrix of the full lattice — the block kernel multiplies
-    it against per-port capacity vectors to get every configuration's
-    screen budget in one matmul.  Cached per width and **read-only**.
-    """
-    if n_bits < 0:
-        raise ReproValueError("n_bits must be non-negative")
-    return _lattice_plane_table(n_bits)
 
 
 def parity_array(n_bits: int) -> np.ndarray:

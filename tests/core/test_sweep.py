@@ -3,6 +3,7 @@ the cache-aware side-array builder and the vectorized multi-point
 accumulation (`repro.core.sweep`)."""
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from repro.probability.enumeration import configuration_probabilities
 from repro.probability.zeta import superset_zeta, superset_zeta_rows
 
 DEMAND = FlowDemand("s", "t", 2)
+REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 def fig4_split(**kwargs):
@@ -198,18 +200,6 @@ class TestArrayCacheBound:
         assert (tmp_path / "new.npy").is_file()
         assert bounded.stats()["evictions"] == 1
 
-    def test_claimed_keys_are_never_evicted(self, tmp_path):
-        cache = ArrayCache(tmp_path, max_bytes=32)
-        cache.put("claimed", _column(16))
-        assert cache.try_claim("claimed")
-        cache.put("b", _column(16, 1))
-        cache.put("c", _column(16, 2))  # over budget; claimed is immune
-        assert (tmp_path / "claimed.npy").is_file()
-        assert not (tmp_path / "b.npy").exists()
-        cache.release_claim("claimed")
-        cache.put("d", _column(16, 3))  # claim released: now evictable
-        assert not (tmp_path / "claimed.npy").exists()
-
     def test_single_oversized_column_still_serves(self):
         # The just-touched key is protected: a column larger than the
         # bound degrades the cache to one entry, it never thrashes it.
@@ -225,6 +215,133 @@ class TestArrayCacheBound:
         assert cache.get("a", 128) is None
         cache.put("a", _column(16))  # rebuild and re-publish
         assert cache.get("a", 128) is not None
+
+
+def _fig4_columns(tmp_path):
+    """A disk cache holding every fig4 source-side column, plus the
+    direct builder's masks and the keyword arguments that rebuild them."""
+    _, split = fig4_split()
+    kwargs = source_kwargs(split, enumerate_assignments([2, 2], 2))
+    direct = build_side_array(split.source_side, **kwargs)
+    cached_side_array(split.source_side, cache=ArrayCache(tmp_path), **kwargs)
+    files = sorted(tmp_path.glob("*.npy"))
+    assert len(files) == len(kwargs["assignments"])
+    return split, kwargs, direct, files
+
+
+class TestArrayCacheCorruption:
+    """Fault injection on the disk tier: a bad column is a counted miss
+    that is rebuilt and republished, never a wrong answer or a crash."""
+
+    def _rebuilds_after(self, tmp_path, damage):
+        split, kwargs, direct, files = _fig4_columns(tmp_path)
+        victim = files[0]
+        damage(victim)
+        cache = ArrayCache(tmp_path)
+        rebuilt = cached_side_array(split.source_side, cache=cache, **kwargs)
+        assert np.array_equal(rebuilt.masks, direct.masks)
+        assert rebuilt.flow_calls > 0
+        stats = cache.stats()
+        assert stats["corrupt"] == 1
+        assert stats["misses"] == 1 and stats["hits"] == len(files) - 1
+        # the rebuilt column was republished: a fresh reader is warm
+        fresh = ArrayCache(tmp_path)
+        warm = cached_side_array(split.source_side, cache=fresh, **kwargs)
+        assert np.array_equal(warm.masks, direct.masks)
+        assert warm.flow_calls == 0 and fresh.stats()["corrupt"] == 0
+
+    def test_short_column(self, tmp_path):
+        # well-formed .npy, too few bytes: unpackbits would zero-pad it
+        self._rebuilds_after(
+            tmp_path, lambda path: np.save(path, np.load(path)[:1])
+        )
+
+    def test_truncated_file(self, tmp_path):
+        def truncate(path):
+            path.write_bytes(path.read_bytes()[:20])
+
+        self._rebuilds_after(tmp_path, truncate)
+
+    def test_wrong_dtype(self, tmp_path):
+        self._rebuilds_after(
+            tmp_path, lambda path: np.save(path, np.load(path).astype(np.int64))
+        )
+
+    def test_wrong_shape(self, tmp_path):
+        self._rebuilds_after(
+            tmp_path, lambda path: np.save(path, np.load(path)[:, None])
+        )
+
+    def test_short_column_is_never_served(self, tmp_path):
+        np.save(tmp_path / "k.npy", np.packbits(np.ones(16, dtype=bool)))
+        cache = ArrayCache(tmp_path)
+        assert cache.get("k", 64) is None
+        assert cache.stats()["corrupt"] == 1
+        assert not (tmp_path / "k.npy").exists()
+
+    def test_interleaved_writers_of_one_key(self, tmp_path, monkeypatch):
+        # Writer b publishes the same key while writer a is mid-write:
+        # each writes a private temp file, both publish atomically.
+        column = np.arange(64) % 3 == 0
+        a, b = ArrayCache(tmp_path), ArrayCache(tmp_path)
+        real_save = np.save
+        calls = []
+
+        def interleaved_save(handle, packed):
+            calls.append(handle)
+            if len(calls) == 1:
+                b.put("k", column)
+            real_save(handle, packed)
+
+        monkeypatch.setattr(np, "save", interleaved_save)
+        a.put("k", column)
+        monkeypatch.setattr(np, "save", real_save)
+        assert len(calls) == 2
+        assert not list(tmp_path.glob("*.tmp"))
+        fresh = ArrayCache(tmp_path)
+        got = fresh.get("k", 64)
+        assert got is not None and np.array_equal(got, column)
+        assert fresh.stats()["corrupt"] == 0
+
+    def test_two_processes_race_on_one_directory(self, tmp_path):
+        """Two independent CLI runs build into one cache directory at
+        once: both report the serial curve, and every published column
+        is well-formed (a third run is fully warm, nothing corrupt)."""
+        import json
+        import subprocess
+        import sys
+
+        from repro.graph.io import save
+
+        save(fujita_fig4(), tmp_path / "net.json")
+        cache_dir = tmp_path / "cache"
+        argv = [
+            sys.executable, "-m", "repro", "sweep", str(tmp_path / "net.json"),
+            "-s", "s", "-t", "t", "-d", "2", "--availability", "0.8:0.95:3",
+            "--cache-dir", str(cache_dir), "--no-ledger", "--json",
+        ]
+        env = dict(os.environ, PYTHONPATH=REPO_SRC)
+        procs = [
+            subprocess.Popen(argv, stdout=subprocess.PIPE, text=True, env=env)
+            for _ in range(2)
+        ]
+        outputs = [json.loads(p.communicate(timeout=300)[0]) for p in procs]
+        assert all(p.returncode == 0 for p in procs)
+        serial = compute_reliability_sweep(
+            fujita_fig4(), DEMAND, sweep=SweepSpec.availability([0.8, 0.875, 0.95])
+        )
+        for out in outputs:
+            assert [p["reliability"] for p in out["points"]] == list(serial.values)
+        assert not list(cache_dir.glob("*.tmp"))
+        cache = ArrayCache(cache_dir)
+        warm = compute_reliability_sweep(
+            fujita_fig4(),
+            DEMAND,
+            sweep=SweepSpec.availability([0.8, 0.875, 0.95]),
+            cache=cache,
+        )
+        assert warm.flow_calls == 0 and warm.values == serial.values
+        assert cache.stats()["corrupt"] == 0
 
 
 class TestCachedSideArray:

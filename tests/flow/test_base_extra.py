@@ -35,6 +35,17 @@ class TestRegistryContracts:
     def test_solver_name_attribute_set(self):
         assert get_solver("edmonds_karp").name == "edmonds_karp"
 
+    def test_solver_counters_carry_the_registered_name(self):
+        from repro.core import compute_reliability
+        from repro.obs import Recorder, record
+
+        recorder = Recorder()
+        with record(recorder):
+            compute_reliability(diamond(), "s", "t", 1)
+        totals = recorder.counter_totals()
+        assert totals.get("solver.dinic.solves", 0) > 0
+        assert not [k for k in totals if k.startswith("solver.unnamed.")]
+
 
 class TestTemplateReuse:
     def test_repeated_solves_on_one_template(self):
