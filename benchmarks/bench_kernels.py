@@ -12,9 +12,9 @@ wall clock.  This bench times each surviving configuration of
 on fig4 and ``scaling_workload(20/24/28/32/36)`` (side-link counts),
 plus one 4-point availability sweep at 32 and 36 links, scalar against
 ``workers=2``.  Each row records best-of-3 milliseconds, ``flow_calls``
-and ``solver.dinic.paths`` (augmenting-path work seen by the calling
-process: pool workers do not replay solver counters, so the
-``workers=2`` rows show only the in-process share).
+and ``solver.dinic.paths`` (augmenting-path work, pool workers'
+share included: each chunk's solver counters are replayed by the
+parent).
 
 Asserted: every value is bit-identical across rows (``==`` on the
 float), and — when the host has at least two CPUs — the engine at
@@ -175,9 +175,9 @@ def main(path: str) -> None:
             "rows) or per cold 4-point availability sweep with a fresh "
             "ArrayCache (sweep rows), the configurations of a workload "
             "interleaved round by round. solver_dinic_paths counts augmenting "
-            "paths traced in the calling process; engine workers=2 solves in "
-            "pool processes that do not replay solver counters. Values are "
-            "asserted bit-identical across every row of a workload."
+            "paths, pool workers' included (the parent replays each chunk's "
+            "solver counters). Values are asserted bit-identical across every "
+            "row of a workload."
         ),
         "environment": {
             "python": platform.python_version(),

@@ -32,6 +32,7 @@ from repro.core.factoring import factoring_reliability
 from repro.core.montecarlo import montecarlo_reliability
 from repro.core.naive import MAX_NAIVE_BITS, naive_reliability
 from repro.core.result import EstimateResult, ReliabilityResult
+from repro.core.sweep import _split_reliability
 from repro.exceptions import DecompositionError, ReproError
 from repro.graph.cuts import find_bottleneck
 from repro.graph.network import FlowNetwork, Node
@@ -239,18 +240,16 @@ def _dispatch(
     if split is not None:
         side = max(len(split.source_side.link_map), len(split.sink_side.link_map))
         if side <= _AUTO_SIDE_BITS:
-            try:
-                return bottleneck_reliability(
-                    net,
-                    demand,
-                    cut=split.cut,
-                    solver=solver,
-                    workers=workers,
-                    incremental=incremental,
-                    cache=cache,
-                )
-            except DecompositionError:
-                pass
+            # The split goes straight to the pipeline: one cut search.
+            return _split_reliability(
+                net,
+                demand,
+                split,
+                solver=solver,
+                workers=workers,
+                incremental=incremental,
+                cache=cache,
+            )
     if net.num_links <= _AUTO_NAIVE_BITS:
         return naive_reliability(net, demand, solver=solver, incremental=incremental)
     if _AUTO_ESTIMATE_LINKS < net.num_links <= _AUTO_ESTIMATE_MAX_LINKS:

@@ -30,7 +30,8 @@ only same-chunk supersets, so more solves; screens, fewer).  The
 property tests in ``tests/properties/test_prop_engine.py`` pin this.
 
 Workers are separate processes (no recorder contextvar crosses the
-boundary), so each chunk reports its own solve/screen counts and
+boundary), so each chunk reports its own solve/screen counts, the
+solver's own ``solver.<name>.*`` counters (:func:`run_counted`) and
 self-measured seconds; the parent replays them onto ``engine.chunk``
 spans, keeping the ``flow_solves`` phase accounting exact.
 """
@@ -63,6 +64,8 @@ from repro.obs.recorder import (
     FLOW_SOLVES,
     SCREENED_SOLVES,
     count,
+    current_recorder,
+    record,
     span,
     wallclock,
 )
@@ -78,6 +81,7 @@ __all__ = [
     "default_workers",
     "partition_lattice",
     "run_chunked",
+    "run_counted",
 ]
 
 _R = TypeVar("_R")
@@ -158,6 +162,25 @@ def run_chunked(
         return [worker(*task) for task in tasks]
     with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         return list(pool.map(worker, *zip(*tasks)))
+
+
+def run_counted(
+    capture: bool, call: Callable[[], _R]
+) -> tuple[_R, dict[str, int | float]]:
+    """``call()`` plus the counters it recorded, for the parent to replay.
+
+    A pool worker has no recorder of its own, so without this its
+    counters (the solver's ``solver.<name>.*`` above all) never reach
+    the trace.  In-process the private recorder shadows the parent's,
+    so replaying the returned counters counts each solve exactly once
+    either way.  With ``capture`` off nothing is recording and this is
+    a plain call.
+    """
+    if not capture:
+        return call(), {}
+    with record() as rec:
+        result = call()
+    return result, rec.counter_totals()
 
 
 class RealizationScreens:
@@ -499,20 +522,24 @@ def _chunk_worker(payload: dict[str, Any]) -> dict[str, Any]:
     """
     start = wallclock()
     net = from_dict(payload["net"])
-    masks, flow_calls, screened, repairs, paths_saved = _build_chunk_masks(
-        net,
-        role=payload["role"],
-        terminal=payload["terminal"],
-        ports=payload["ports"],
-        assignments=payload["assignments"],
-        demand=payload["demand"],
-        solver=payload["solver"],
-        prune=payload["prune"],
-        screen=payload["screen"],
-        low_bits=payload["low_bits"],
-        high_pattern=payload["high_pattern"],
-        incremental=payload["incremental"],
+    built, solver_counters = run_counted(
+        payload["capture"],
+        lambda: _build_chunk_masks(
+            net,
+            role=payload["role"],
+            terminal=payload["terminal"],
+            ports=payload["ports"],
+            assignments=payload["assignments"],
+            demand=payload["demand"],
+            solver=payload["solver"],
+            prune=payload["prune"],
+            screen=payload["screen"],
+            low_bits=payload["low_bits"],
+            high_pattern=payload["high_pattern"],
+            incremental=payload["incremental"],
+        ),
     )
+    masks, flow_calls, screened, repairs, paths_saved = built
     result = {
         "side": payload["side"],
         "chunk": payload["high_pattern"],
@@ -522,6 +549,7 @@ def _chunk_worker(payload: dict[str, Any]) -> dict[str, Any]:
         "repairs": repairs,
         "paths_saved": paths_saved,
         "entries": len(payload["assignments"]) * (1 << payload["low_bits"]),
+        "solver_counters": solver_counters,
         "seconds": wallclock() - start,
     }
     spool_dir = payload.get("spool_dir")
@@ -539,6 +567,7 @@ def _chunk_worker(payload: dict[str, Any]) -> dict[str, Any]:
             counters[FLOW_REPAIRS] = repairs
         if paths_saved:
             counters[AUGMENTING_PATHS_SAVED] = paths_saved
+        counters.update(solver_counters)
         spool_chunk_events(
             spool_dir,
             "engine.chunk",
@@ -574,10 +603,12 @@ def _side_payloads(
     """One :func:`_chunk_worker` payload per chunk of one side."""
     net_data = to_dict(side.network)
     spool = current_spool_dir()
+    capture = current_recorder() is not None
     return [
         {
             "side": side_name,
             "spool_dir": str(spool) if spool is not None else None,
+            "capture": capture,
             "role": role,
             "net": net_data,
             "terminal": terminal,
@@ -626,6 +657,8 @@ def _merge_side(
                 count(FLOW_REPAIRS, int(r["repairs"]))
             if r.get("paths_saved"):
                 count(AUGMENTING_PATHS_SAVED, int(r["paths_saved"]))
+            for name, amount in r["solver_counters"].items():
+                count(name, amount)
         screened_total += int(r["screened"])
         flow_total += int(r["flow_calls"])
     masks = np.concatenate([np.asarray(r["masks"], dtype=np.uint64) for r in ordered])

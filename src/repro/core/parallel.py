@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.demand import FlowDemand
-from repro.core.engine import default_workers, partition_lattice, run_chunked
+from repro.core.engine import default_workers, partition_lattice, run_chunked, run_counted
 from repro.core.feasibility import FeasibilityOracle
 from repro.core.naive import MAX_NAIVE_BITS
 from repro.core.result import ReliabilityResult
@@ -30,7 +30,7 @@ from repro.core.summation import KahanSum, prob_fsum
 from repro.exceptions import EstimationError
 from repro.graph.io import from_dict, to_dict
 from repro.graph.network import FlowNetwork
-from repro.obs.recorder import FLOW_SOLVES, count, span, wallclock
+from repro.obs.recorder import count, current_recorder, span, wallclock
 from repro.obs.telemetry import current_spool_dir, spool_chunk_events
 from repro.probability.bitset import popcount_array
 from repro.probability.enumeration import check_enumerable, configuration_probabilities
@@ -47,16 +47,42 @@ def _worker_sum(
     high_pattern: int,
     prune: bool,
     spool_dir: str | None = None,
-) -> tuple[float, int]:
+    capture: bool = False,
+) -> tuple[float, int, dict[str, int | float]]:
     """Sum feasible-configuration probability over one high-bit chunk.
 
     Runs in a separate process; receives the network as a plain dict
-    (cheap, avoids pickling library objects across versions).  When a
-    telemetry session is open, the chunk's solve count is spooled as a
-    ``parallel.chunk`` worker stream before returning.
+    (cheap, avoids pickling library objects across versions).  Returns
+    the chunk's sum, its solve count and, with ``capture``, the counters
+    it recorded (oracle solves, the solver's own counters) for the
+    parent to replay.  When a telemetry session is open, the same
+    counters are spooled as a ``parallel.chunk`` worker stream.
     """
     start = wallclock()
     net = from_dict(net_data)
+    (value, calls), counters = run_counted(
+        capture, lambda: _chunk_sum(net, source, sink, rate, low_bits, high_pattern, prune)
+    )
+    if spool_dir:
+        spool_chunk_events(
+            spool_dir,
+            "parallel.chunk",
+            attrs={"chunk": high_pattern},
+            seconds=wallclock() - start,
+            counters=counters,
+        )
+    return value, calls, counters
+
+
+def _chunk_sum(
+    net: FlowNetwork,
+    source,
+    sink,
+    rate: int,
+    low_bits: int,
+    high_pattern: int,
+    prune: bool,
+) -> tuple[float, int]:
     oracle = FeasibilityOracle(net, source, sink, rate)
     probabilities = configuration_probabilities(net)
     check_enumerable(low_bits, limit=MAX_NAIVE_BITS)
@@ -67,7 +93,6 @@ def _worker_sum(
         for low in range(size):  # repro: noqa[RR109] cold ablation path of the chunk worker, kept byte-identical
             if oracle.feasible(base | low):
                 total.add(float(probabilities[base | low]))
-        _spool_parallel_chunk(spool_dir, high_pattern, wallclock() - start, oracle.calls)
         return total.value, oracle.calls
 
     counts = popcount_array(low_bits)
@@ -88,28 +113,7 @@ def _worker_sum(
         if oracle.feasible(base | low):
             feasible[low] = True
             total.add(float(probabilities[base | low]))
-    _spool_parallel_chunk(spool_dir, high_pattern, wallclock() - start, oracle.calls)
     return total.value, oracle.calls
-
-
-def _spool_parallel_chunk(
-    spool_dir: str | None, chunk: int, seconds: float, calls: int
-) -> None:
-    """Write one chunk's solve count as a worker telemetry stream.
-
-    The counters here are exactly what the parent replays onto its
-    ``parallel.chunk`` span for pooled chunks — and exactly what the
-    in-process oracle already counted live for unpooled ones — so the
-    merged worker totals always equal the recorded totals.
-    """
-    if spool_dir:
-        spool_chunk_events(
-            spool_dir,
-            "parallel.chunk",
-            attrs={"chunk": chunk},
-            seconds=seconds,
-            counters={FLOW_SOLVES: calls},
-        )
 
 
 def parallel_naive_reliability(
@@ -141,6 +145,7 @@ def parallel_naive_reliability(
     plan = partition_lattice(m, workers)
     net_data = to_dict(net)
     spool = current_spool_dir()
+    capture = current_recorder() is not None
     args = [
         (
             net_data,
@@ -151,21 +156,19 @@ def parallel_naive_reliability(
             pattern,
             prune,
             str(spool) if spool is not None else None,
+            capture,
         )
         for pattern in range(plan.chunks)
     ]
-    pooled = workers > 1 and len(args) > 1
     results = run_chunked(_worker_sum, args, workers=workers)
-    if pooled:
-        # Pooled chunks solved in processes where the recorder contextvar
-        # is invisible, so their oracle counts never reached the trace —
-        # replay them here, one span per chunk, exactly as the
-        # realization-array engine does.  Unpooled chunks already counted
-        # live through the in-process FeasibilityOracle; replaying those
-        # too would double-count.
-        for pattern, result in enumerate(results):
-            with span("parallel.chunk", chunk=pattern):
-                count(FLOW_SOLVES, int(result[1]))
+    # Every chunk's counters were captured (a pooled chunk's recorder is
+    # invisible here; in-process the capture keeps them from counting
+    # twice), so replay them, one span per chunk, as the
+    # realization-array engine does.
+    for pattern, (_, _, counters) in enumerate(results):
+        with span("parallel.chunk", chunk=pattern):
+            for name, amount in counters.items():
+                count(name, amount)
     value = prob_fsum(r[0] for r in results)
     calls = int(sum(r[1] for r in results))
     return ReliabilityResult(

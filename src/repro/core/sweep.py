@@ -1,14 +1,16 @@
-"""Sweep engine: content-addressed array reuse + vectorized multi-point Eq. 2/3.
+"""The bottleneck pipeline: content-addressed array reuse + grid Eq. 2/3.
 
 The paper's §III-C realization arrays are purely combinatorial: whether a
 side configuration realizes an assignment is a max-flow question over the
 side topology, capacities, ports and the assignment tuple — link failure
-probabilities never enter.  Yet every :func:`bottleneck_reliability` call
-(and every point of a fig-4-style availability curve) rebuilds both
-``2^{|E_side|}`` arrays from scratch; only Eq. 2 (pattern probabilities)
-and Eq. 3 (the accumulation) change across a probability sweep.
+probabilities never enter.  Only Eq. 2 (pattern probabilities) and Eq. 3
+(the accumulation) change across a probability sweep.
 
-This module splits the two phases:
+This module runs the one Eq. 2/3 pipeline — cut search, §III-B
+assignments, both side arrays, then Eq. 2 / Eq. 3 over a
+``(points, links)`` failure grid (:mod:`repro.core.accumulate`).  A
+pointwise :func:`repro.core.bottleneck.bottleneck_reliability` call is
+its one-row case, the network's own failure vector.  The pieces:
 
 :class:`ArrayCache`
     A content-addressed store of realization *columns* (one assignment's
@@ -31,14 +33,13 @@ This module splits the two phases:
     the direct builders.
 
 :func:`compute_reliability_sweep`
-    One array build, then Eq. 2 + Eq. 3 for a whole grid of per-link
-    failure vectors in a vectorized pass: 2-D doubling tables
-    (:func:`probability_grid`), row-wise class aggregation, the batched
-    superset zeta (:func:`repro.probability.zeta.superset_zeta_rows`)
-    and per-point reductions that reuse the *same scalar operations* as
-    :mod:`repro.core.accumulate` on bit-equal inputs — so every sweep
-    point is bit-identical to a fresh pointwise call (a property suite
-    enforces value and ``details`` equality).
+    One cut search and one array build, then Eq. 2 + Eq. 3 for a whole
+    grid of per-link failure vectors in batched passes: 2-D doubling
+    tables (:func:`probability_grid`), row-wise class aggregation and
+    the batched superset zeta.  Each row's arithmetic does not depend on
+    the other rows, so every sweep point is bit-identical to a fresh
+    pointwise call (a property suite enforces value and ``details``
+    equality).
 """
 
 from __future__ import annotations
@@ -47,13 +48,13 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.accumulate import MAX_ZETA_ASSIGNMENTS, restrict_masks
+from repro.core.accumulate import probability_grid, reliability_rows
 from repro.core.arrays import (
     RealizationArray,
     _validate_side_request,
@@ -62,8 +63,7 @@ from repro.core.arrays import (
 from repro.core.assignments import classify_by_support, enumerate_assignments
 from repro.core.demand import FlowDemand
 from repro.core.result import ReliabilityResult
-from repro.core.summation import prob_fsum
-from repro.exceptions import DecompositionError, IntractableError, ReproValueError
+from repro.exceptions import DecompositionError, ReproValueError
 from repro.flow.base import MaxFlowSolver
 from repro.flow.incremental import resolve_incremental
 from repro.graph.cuts import find_bottleneck, verify_bottleneck
@@ -80,9 +80,8 @@ from repro.obs.recorder import (
     count,
     span,
 )
-from repro.probability.bitset import pack_bitplanes, parity_array
+from repro.probability.bitset import pack_bitplanes
 from repro.probability.enumeration import check_enumerable, configuration_probabilities
-from repro.probability.zeta import superset_zeta_rows
 
 __all__ = [
     "ArrayCache",
@@ -390,50 +389,6 @@ class ArrayCache:
         self._touch(key, int(packed.nbytes))
 
 
-def _build_missing(
-    side: SubnetworkView,
-    *,
-    role: str,
-    terminal: Node,
-    ports: Sequence[Node],
-    assignments: Sequence[Sequence[int]],
-    demand: int,
-    solver: str | MaxFlowSolver | None,
-    prune: bool,
-    screen: bool,
-    workers: int | None,
-    incremental: bool | None,
-) -> RealizationArray:
-    """Build a (possibly partial) assignment subset through the usual builders."""
-    if workers is None:
-        return build_side_array(
-            side,
-            role=role,
-            terminal=terminal,
-            ports=ports,
-            assignments=assignments,
-            demand=demand,
-            solver=solver,
-            prune=prune,
-            incremental=incremental,
-        )
-    from repro.core.engine import build_side_array_parallel  # local: pools live there
-
-    return build_side_array_parallel(
-        side,
-        role=role,
-        terminal=terminal,
-        ports=ports,
-        assignments=assignments,
-        demand=demand,
-        solver=solver,
-        prune=prune,
-        screen=screen,
-        workers=workers,
-        incremental=incremental,
-    )
-
-
 def cached_side_array(
     side: SubnetworkView,
     *,
@@ -452,20 +407,35 @@ def cached_side_array(
     """§III-C side array with per-assignment column caching.
 
     Every assignment's column is looked up in ``cache`` first; only the
-    misses go through :func:`_build_missing` (columns are independent,
-    so building a subset yields the same bits as building all of them),
-    then the full matrix is packed exactly like the direct builders.
-    ``flow_calls`` counts only the solves spent on misses — a fully warm
-    call reports 0.  With ``cache=None`` this is a plain dispatch to the
-    serial or parallel builder.
+    misses are built (columns are independent, so building a subset
+    yields the same bits as building all of them), then the full matrix
+    is packed exactly like the direct builders.  ``flow_calls`` counts
+    only the solves spent on misses — a fully warm call reports 0.  With
+    ``cache=None`` this is a plain dispatch to the serial builder, or to
+    the parallel one under ``workers``.
     """
-    if cache is None:
-        return _build_missing(
+
+    def build(subset: Sequence[Sequence[int]]) -> RealizationArray:
+        if workers is None:
+            return build_side_array(
+                side,
+                role=role,
+                terminal=terminal,
+                ports=ports,
+                assignments=subset,
+                demand=demand,
+                solver=solver,
+                prune=prune,
+                incremental=incremental,
+            )
+        from repro.core.engine import build_side_array_parallel  # local: pools live there
+
+        return build_side_array_parallel(
             side,
             role=role,
             terminal=terminal,
             ports=ports,
-            assignments=assignments,
+            assignments=subset,
             demand=demand,
             solver=solver,
             prune=prune,
@@ -473,6 +443,9 @@ def cached_side_array(
             workers=workers,
             incremental=incremental,
         )
+
+    if cache is None:
+        return build(assignments)
     net = side.network
     m = net.num_links
     check_enumerable(m)
@@ -494,19 +467,7 @@ def cached_side_array(
             else:
                 realized[:, j] = column
         if missing:
-            built = _build_missing(
-                side,
-                role=role,
-                terminal=terminal,
-                ports=ports,
-                assignments=[assignments[j] for j in missing],
-                demand=demand,
-                solver=solver,
-                prune=prune,
-                screen=screen,
-                workers=workers,
-                incremental=incremental,
-                )
+            built = build([assignments[j] for j in missing])
             flow_calls = built.flow_calls
             for local, j in enumerate(missing):
                 column = (
@@ -521,138 +482,6 @@ def cached_side_array(
         num_assignments=num_assignments,
         flow_calls=flow_calls,
     )
-
-
-# -- the vectorized probability phase -------------------------------------
-
-
-def probability_grid(failure_grid: np.ndarray) -> np.ndarray:
-    """2-D doubling table: row ``s`` is the configuration-probability
-    table of failure vector ``failure_grid[s]``.
-
-    One concatenation per link, dead half first — the same scheme (and
-    the same left-to-right multiply order) as
-    :func:`repro.probability.configuration_probabilities` and the cut
-    table of :func:`repro.core.bottleneck.pattern_probabilities`, so
-    every row is bit-identical to its scalar counterpart.
-    """
-    grid = np.ascontiguousarray(np.asarray(failure_grid, dtype=np.float64))
-    if grid.ndim != 2:
-        raise ReproValueError("failure grid must be two-dimensional (points x links)")
-    if grid.size and (np.any(grid < 0.0) or np.any(grid >= 1.0)):
-        raise ReproValueError("failure probabilities must lie in [0, 1)")
-    points, m = grid.shape
-    check_enumerable(m)
-    table = np.ones((points, 1), dtype=np.float64)
-    for i in range(m):
-        p = grid[:, i : i + 1]
-        table = np.concatenate([table * p, table * (1.0 - p)], axis=1)
-    return table
-
-
-def _class_grid(
-    masks: np.ndarray,
-    probability_rows: np.ndarray,
-    assignment_indices: Sequence[int],
-) -> np.ndarray:
-    """Row-wise :func:`repro.core.accumulate.side_class_probabilities`.
-
-    Row ``s`` aggregates ``probability_rows[s]`` by restricted realized
-    mask with the same sequential ``np.add.at`` scatter as the scalar
-    path, so each row is bit-identical to the pointwise aggregate.
-    """
-    q = len(assignment_indices)
-    if q > MAX_ZETA_ASSIGNMENTS:
-        raise IntractableError(
-            f"zeta accumulation over {q} assignments needs 2^{q} table entries",
-            required=q,
-            limit=MAX_ZETA_ASSIGNMENTS,
-        )
-    restricted = restrict_masks(masks, assignment_indices).astype(np.int64)
-    points = probability_rows.shape[0]
-    table = np.zeros((points, 1 << q), dtype=np.float64)
-    for s in range(points):
-        np.add.at(table[s], restricted, probability_rows[s])
-    return table
-
-
-def _zeta_r_grid(
-    source_masks: np.ndarray,
-    sink_masks: np.ndarray,
-    source_probability_rows: np.ndarray,
-    sink_probability_rows: np.ndarray,
-    assignment_indices: Sequence[int],
-) -> np.ndarray:
-    """Per-point ``r_{E'}`` via the zeta strategy, one value per grid row."""
-    q = len(assignment_indices)
-    qs = _class_grid(source_masks, source_probability_rows, assignment_indices)
-    qt = _class_grid(sink_masks, sink_probability_rows, assignment_indices)
-    ps = superset_zeta_rows(qs, inplace=True)
-    pt = superset_zeta_rows(qt, inplace=True)
-    signs = -parity_array(q).astype(np.float64)
-    signs[0] = 0.0
-    prod = ps * pt
-    points = prod.shape[0]
-    return np.array(
-        [float(np.dot(signs, prod[s])) for s in range(points)], dtype=np.float64
-    )
-
-
-def _pairs_r_grid(
-    source_masks: np.ndarray,
-    sink_masks: np.ndarray,
-    source_probability_rows: np.ndarray,
-    sink_probability_rows: np.ndarray,
-    assignment_indices: Sequence[int],
-) -> np.ndarray:
-    """Per-point ``r_{E'}`` via the pairs strategy, one value per grid row."""
-    restricted_s = restrict_masks(source_masks, assignment_indices)
-    restricted_t = restrict_masks(sink_masks, assignment_indices)
-    values_s, inverse_s = np.unique(restricted_s, return_inverse=True)
-    values_t, inverse_t = np.unique(restricted_t, return_inverse=True)
-    hit = ((values_s[:, None] & values_t[None, :]) != 0).astype(np.float64)
-    points = source_probability_rows.shape[0]
-    out = np.empty(points, dtype=np.float64)
-    for s in range(points):
-        qs = np.bincount(
-            inverse_s, weights=source_probability_rows[s], minlength=len(values_s)
-        )
-        qt = np.bincount(
-            inverse_t, weights=sink_probability_rows[s], minlength=len(values_t)
-        )
-        out[s] = float(qs @ hit @ qt)
-    return out
-
-
-def _r_grid(
-    source: RealizationArray,
-    sink: RealizationArray,
-    assignment_indices: Sequence[int],
-    source_probability_rows: np.ndarray,
-    sink_probability_rows: np.ndarray,
-    strategy: str,
-) -> np.ndarray:
-    """Grid twin of :func:`repro.core.accumulate.accumulate` — same
-    strategy resolution, same per-point arithmetic."""
-    if strategy == "auto":
-        strategy = "zeta" if len(assignment_indices) <= 12 else "pairs"
-    if strategy == "zeta":
-        return _zeta_r_grid(
-            source.masks,
-            sink.masks,
-            source_probability_rows,
-            sink_probability_rows,
-            assignment_indices,
-        )
-    if strategy == "pairs":
-        return _pairs_r_grid(
-            source.masks,
-            sink.masks,
-            source_probability_rows,
-            sink_probability_rows,
-            assignment_indices,
-        )
-    raise ReproValueError(f"unknown accumulation strategy {strategy!r}")
 
 
 # -- the sweep specification ----------------------------------------------
@@ -799,7 +628,8 @@ def _resolve_split(
     cut: Sequence[int] | None,
     max_cut_size: int,
 ) -> SideSplit:
-    with span("sweep.cut_search", given=cut is not None):
+    """The bottleneck cut: discovered when ``cut`` is None, else verified."""
+    with span("bottleneck.cut_search", given=cut is not None):
         if cut is None:
             split = find_bottleneck(
                 net, demand.source, demand.sink, max_size=max_cut_size
@@ -810,6 +640,192 @@ def _resolve_split(
                 )
             return split
         return verify_bottleneck(net, demand.source, demand.sink, cut)
+
+
+def _bottleneck_rows(
+    net: FlowNetwork,
+    demand: FlowDemand,
+    split: SideSplit,
+    failure_grid: np.ndarray,
+    *,
+    solver: str | MaxFlowSolver | None,
+    strategy: str,
+    prune: bool,
+    workers: int | None,
+    screen: bool,
+    incremental: bool,
+    cache: ArrayCache | None,
+) -> tuple[list[ReliabilityResult], int, dict[str, object] | None]:
+    """The Eq. 2/3 pipeline on a resolved split, for every failure-grid row.
+
+    §III-B assignments, both §III-C side arrays (through ``cache`` when
+    given; with ``cache=None`` a direct serial build, or one engine pool
+    for both sides under ``workers``), then Eq. 2 / Eq. 3 for each row
+    of the ``(points, num_links)`` failure grid in batched passes.  A
+    pointwise query is the one-row case.  Returns one result per row
+    (each with ``flow_calls == 0``), the solves spent building both
+    arrays, and the engine accounting of a direct engine build.
+    """
+    cut_links = split.cut
+    k = len(cut_links)
+    capacities = [net.link(i).capacity for i in cut_links]
+    with span("bottleneck.assignments", k=k, demand=demand.rate):
+        assignments = enumerate_assignments(capacities, demand.rate)
+        count(ASSIGNMENTS_ENUMERATED, len(assignments))
+    base_details = {
+        "cut": tuple(cut_links),
+        "alpha": split.alpha,
+        "num_assignments": len(assignments),
+        "source_side_links": len(split.source_side.link_map),
+        "sink_side_links": len(split.sink_side.link_map),
+    }
+    num_points = len(failure_grid)
+    if not assignments:
+        # The cut cannot carry the demand even fully alive (the k = 1
+        # case of this is the paper's "c(e') < d => trivially zero").
+        zero = [
+            ReliabilityResult(
+                value=0.0,
+                method="bottleneck",
+                details={**base_details, "reason": "cut capacity below demand"},
+            )
+            for _ in range(num_points)
+        ]
+        return zero, 0, None
+
+    engine_stats: dict[str, object] | None = None
+    with span(
+        "bottleneck.arrays",
+        source_links=len(split.source_side.link_map),
+        sink_links=len(split.sink_side.link_map),
+        assignments=len(assignments),
+        workers=workers or 0,
+        cached=cache is not None,
+    ):
+        if cache is None and workers is not None:
+            from repro.core.engine import build_realization_arrays  # local: pools live there
+
+            source_array, sink_array, engine_stats = build_realization_arrays(
+                split,
+                source=demand.source,
+                sink=demand.sink,
+                assignments=assignments,
+                demand=demand.rate,
+                solver=solver,
+                prune=prune,
+                screen=screen,
+                workers=workers,
+                incremental=incremental,
+            )
+        else:
+            source_array, sink_array = (
+                cached_side_array(
+                    side,
+                    role=role,
+                    terminal=terminal,
+                    ports=ports,
+                    assignments=assignments,
+                    demand=demand.rate,
+                    solver=solver,
+                    prune=prune,
+                    screen=screen,
+                    workers=workers,
+                    incremental=incremental,
+                    cache=cache,
+                )
+                for side, role, terminal, ports in (
+                    (split.source_side, "source", demand.source, split.source_ports),
+                    (split.sink_side, "sink", demand.sink, split.sink_ports),
+                )
+            )
+
+    source_fail = failure_grid[:, list(split.source_side.link_map)]
+    sink_fail = failure_grid[:, list(split.sink_side.link_map)]
+    cut_fail = failure_grid[:, list(cut_links)]
+    check_enumerable(k)
+    classes = classify_by_support(assignments, k)
+    configurations = len(source_array.masks) + len(sink_array.masks)
+    widest = max(len(split.source_side.link_map), len(split.sink_side.link_map), k)
+    batch = max(1, _MAX_GRID_ENTRIES >> widest)
+    results: list[ReliabilityResult] = []
+    with span(
+        "bottleneck.accumulate", points=num_points, strategy=strategy, patterns=1 << k
+    ):
+        for start in range(0, num_points, batch):
+            stop = min(num_points, start + batch)
+            rows = reliability_rows(
+                source_array,
+                sink_array,
+                classes,
+                cut_fail[start:stop],
+                source_fail[start:stop],
+                sink_fail[start:stop],
+                strategy,
+            )
+            for value, distinct in rows:
+                details = {
+                    **base_details,
+                    "accumulation_strategy": strategy,
+                    "distinct_classes": distinct,
+                    "incremental": incremental,
+                }
+                results.append(
+                    ReliabilityResult(
+                        value=value,
+                        method="bottleneck",
+                        configurations=configurations,
+                        details=details,
+                    )
+                )
+    return results, source_array.flow_calls + sink_array.flow_calls, engine_stats
+
+
+def _split_reliability(
+    net: FlowNetwork,
+    demand: FlowDemand,
+    split: SideSplit,
+    *,
+    solver: str | MaxFlowSolver | None = None,
+    strategy: str = "auto",
+    prune: bool = True,
+    workers: int | None = None,
+    screen: bool = True,
+    incremental: bool | None = None,
+    cache: ArrayCache | None = None,
+) -> ReliabilityResult:
+    """A pointwise bottleneck query on a resolved split.
+
+    The pipeline with one row, the network's own failure vector; the
+    result carries the build's solves and, when they apply, the engine
+    accounting and this call's cache traffic.  Behind
+    :func:`repro.core.bottleneck.bottleneck_reliability`, the ``auto``
+    dispatch (which hands over the split its own search found) and the
+    demand sweep (one resolved split for every rate).
+    """
+    use_incremental = resolve_incremental(solver, incremental)
+    before = cache.stats() if cache is not None else {}
+    (point,), flow_calls, engine = _bottleneck_rows(
+        net,
+        demand,
+        split,
+        np.array([net.failure_probabilities()], dtype=np.float64),
+        solver=solver,
+        strategy=strategy,
+        prune=prune,
+        workers=workers,
+        screen=screen,
+        incremental=use_incremental,
+        cache=cache,
+    )
+    if point.configurations == 0:
+        return point  # the cut cannot carry the demand: no arrays, no cache traffic
+    details = point.details
+    if engine is not None:
+        details["engine"] = engine
+    if cache is not None:
+        after = cache.stats()
+        details["array_cache"] = {key: after[key] - before[key] for key in after}
+    return replace(point, flow_calls=flow_calls)
 
 
 def compute_reliability_sweep(
@@ -839,258 +855,50 @@ def compute_reliability_sweep(
     (the per-point ``flow_calls`` is 0; this call's total is reported on
     the :class:`SweepResult`).
 
-    Demand sweeps loop the full bottleneck pipeline per rate with the
-    shared cache, so assignment tuples common to several rates are built
-    once.
+    Demand sweeps resolve the cut once and run the pointwise pipeline
+    per rate with the shared cache, so assignment tuples common to
+    several rates are built once.
 
     Parameters mirror :func:`bottleneck_reliability`; ``demand.rate`` is
     ignored (and may be any valid rate) for ``kind="demand"`` sweeps.
     """
     the_cache = cache if cache is not None else ArrayCache()
     before = the_cache.stats()
+    options = dict(
+        solver=solver,
+        strategy=strategy,
+        prune=prune,
+        workers=workers,
+        screen=screen,
+        incremental=incremental,
+        cache=the_cache,
+    )
     with span("sweep.run", kind=sweep.kind, points=len(sweep)):
         if sweep.kind == "demand":
-            result = _demand_sweep(
-                net,
-                demand,
-                sweep=sweep,
-                cut=cut,
-                solver=solver,
-                strategy=strategy,
-                prune=prune,
-                max_cut_size=max_cut_size,
-                workers=workers,
-                screen=screen,
-                incremental=incremental,
-                cache=the_cache,
-            )
+            # One structural cut search serves every rate (admissibility
+            # does not depend on the demand).
+            split = _resolve_split(net, demand, cut, max_cut_size)
+            results = []
+            for rate in sweep.values:
+                rate_demand = FlowDemand(demand.source, demand.sink, rate)
+                rate_demand.validate_against(net)
+                results.append(_split_reliability(net, rate_demand, split, **options))
+            flow_calls = sum(r.flow_calls for r in results)
         else:
-            result = _probability_sweep(
-                net,
-                demand,
-                sweep=sweep,
-                cut=cut,
-                solver=solver,
-                strategy=strategy,
-                prune=prune,
-                max_cut_size=max_cut_size,
-                workers=workers,
-                screen=screen,
-                incremental=incremental,
-                cache=the_cache,
+            demand.validate_against(net)
+            failure_grid = sweep.failure_matrix(net)  # validates the grid up front
+            options["incremental"] = resolve_incremental(solver, incremental)
+            split = _resolve_split(net, demand, cut, max_cut_size)
+            results, flow_calls, _ = _bottleneck_rows(
+                net, demand, split, failure_grid, **options
             )
     after = the_cache.stats()
-    delta = {key: after[key] - before[key] for key in after}
-    return SweepResult(
-        kind=result.kind,
-        xs=result.xs,
-        results=result.results,
-        flow_calls=result.flow_calls,
-        cache_stats=delta,
-    )
-
-
-def _demand_sweep(
-    net: FlowNetwork,
-    demand: FlowDemand,
-    *,
-    sweep: SweepSpec,
-    cut: Sequence[int] | None,
-    solver: str | MaxFlowSolver | None,
-    strategy: str,
-    prune: bool,
-    max_cut_size: int,
-    workers: int | None,
-    screen: bool,
-    incremental: bool | None,
-    cache: ArrayCache,
-) -> SweepResult:
-    from repro.core.bottleneck import bottleneck_reliability  # local: avoids cycle
-
-    # One structural cut search serves every rate (admissibility does
-    # not depend on the demand); each pointwise call then verifies it,
-    # which yields the same split a fresh discovery would.
-    split = _resolve_split(net, demand, cut, max_cut_size)
-    results: list[ReliabilityResult] = []
-    flow_calls = 0
-    for rate in sweep.values:
-        point = bottleneck_reliability(
-            net,
-            FlowDemand(demand.source, demand.sink, rate),
-            cut=split.cut,
-            solver=solver,
-            strategy=strategy,
-            prune=prune,
-            max_cut_size=max_cut_size,
-            workers=workers,
-            screen=screen,
-            incremental=incremental,
-            cache=cache,
-        )
-        flow_calls += point.flow_calls
-        results.append(point)
     return SweepResult(
         kind=sweep.kind,
         xs=sweep.values,
         results=tuple(results),
         flow_calls=flow_calls,
-        cache_stats={},
-    )
-
-
-def _probability_sweep(
-    net: FlowNetwork,
-    demand: FlowDemand,
-    *,
-    sweep: SweepSpec,
-    cut: Sequence[int] | None,
-    solver: str | MaxFlowSolver | None,
-    strategy: str,
-    prune: bool,
-    max_cut_size: int,
-    workers: int | None,
-    screen: bool,
-    incremental: bool | None,
-    cache: ArrayCache,
-) -> SweepResult:
-    demand.validate_against(net)
-    failure_grid = sweep.failure_matrix(net)  # validates the grid up front
-    num_points = len(sweep)
-    use_incremental = resolve_incremental(solver, incremental)
-    split = _resolve_split(net, demand, cut, max_cut_size)
-    cut_links = split.cut
-    k = len(cut_links)
-    capacities = [net.link(i).capacity for i in cut_links]
-    with span("sweep.assignments", k=k, demand=demand.rate):
-        assignments = enumerate_assignments(capacities, demand.rate)
-        count(ASSIGNMENTS_ENUMERATED, len(assignments))
-    base_details = {
-        "cut": tuple(cut_links),
-        "alpha": split.alpha,
-        "num_assignments": len(assignments),
-        "source_side_links": len(split.source_side.link_map),
-        "sink_side_links": len(split.sink_side.link_map),
-    }
-    if not assignments:
-        # Mirrors the pointwise early return (c(cut) < d): identical
-        # details at every point, no arrays, no solves.
-        zero = tuple(
-            ReliabilityResult(
-                value=0.0,
-                method="bottleneck",
-                details={**base_details, "reason": "cut capacity below demand"},
-            )
-            for _ in range(num_points)
-        )
-        return SweepResult(
-            kind=sweep.kind,
-            xs=sweep.values,
-            results=zero,
-            flow_calls=0,
-            cache_stats={},
-        )
-
-    with span(
-        "sweep.arrays",
-        source_links=len(split.source_side.link_map),
-        sink_links=len(split.sink_side.link_map),
-        assignments=len(assignments),
-    ):
-        source_array = cached_side_array(
-            split.source_side,
-            role="source",
-            terminal=demand.source,
-            ports=split.source_ports,
-            assignments=assignments,
-            demand=demand.rate,
-            solver=solver,
-            prune=prune,
-            screen=screen,
-            workers=workers,
-            incremental=use_incremental,
-            cache=cache,
-        )
-        sink_array = cached_side_array(
-            split.sink_side,
-            role="sink",
-            terminal=demand.sink,
-            ports=split.sink_ports,
-            assignments=assignments,
-            demand=demand.rate,
-            solver=solver,
-            prune=prune,
-            screen=screen,
-            workers=workers,
-            incremental=use_incremental,
-            cache=cache,
-        )
-
-    source_columns = list(split.source_side.link_map)
-    sink_columns = list(split.sink_side.link_map)
-    source_fail = failure_grid[:, source_columns]
-    sink_fail = failure_grid[:, sink_columns]
-    cut_fail = failure_grid[:, list(cut_links)]
-
-    check_enumerable(k)
-    classes = classify_by_support(assignments, k)
-    configurations = len(source_array.masks) + len(sink_array.masks)
-    widest = max(
-        len(split.source_side.link_map), len(split.sink_side.link_map), k
-    )
-    batch = max(1, _MAX_GRID_ENTRIES >> widest)
-    results: list[ReliabilityResult] = []
-    with span(
-        "sweep.accumulate", points=num_points, strategy=strategy, patterns=1 << k
-    ):
-        for start in range(0, num_points, batch):
-            stop = min(num_points, start + batch)
-            source_rows = probability_grid(source_fail[start:stop])
-            sink_rows = probability_grid(sink_fail[start:stop])
-            pattern_rows = probability_grid(cut_fail[start:stop])
-            r_grids: dict[tuple[int, ...], np.ndarray] = {}
-            for local in range(stop - start):
-                terms: list[float] = []
-                used: set[tuple[int, ...]] = set()
-                for pattern, supported in classes.items():
-                    if not supported:
-                        continue
-                    p_pattern = float(pattern_rows[local, pattern])
-                    if p_pattern == 0.0:
-                        continue
-                    r_vector = r_grids.get(supported)
-                    if r_vector is None:
-                        r_vector = _r_grid(
-                            source_array,
-                            sink_array,
-                            supported,
-                            source_rows,
-                            sink_rows,
-                            strategy,
-                        )
-                        r_grids[supported] = r_vector
-                    used.add(supported)
-                    terms.append(p_pattern * float(r_vector[local]))
-                details = {
-                    **base_details,
-                    "accumulation_strategy": strategy,
-                    "distinct_classes": len(used),
-                    "incremental": use_incremental,
-                }
-                results.append(
-                    ReliabilityResult(
-                        value=prob_fsum(terms),
-                        method="bottleneck",
-                        flow_calls=0,
-                        configurations=configurations,
-                        details=details,
-                    )
-                )
-    return SweepResult(
-        kind=sweep.kind,
-        xs=sweep.values,
-        results=tuple(results),
-        flow_calls=source_array.flow_calls + sink_array.flow_calls,
-        cache_stats={},
+        cache_stats={key: after[key] - before[key] for key in after},
     )
 
 

@@ -178,8 +178,6 @@ KNOWN_SPANS = frozenset(
         "bottleneck.arrays",
         "bottleneck.assignments",
         "bottleneck.cut_search",
-        "bottleneck.sink_array",
-        "bottleneck.source_array",
         "bounds.cut_upper",
         "bounds.route_lower",
         "engine.build",
@@ -197,12 +195,8 @@ KNOWN_SPANS = frozenset(
         "serve.batch",
         "serve.query",
         "serve.warm",
-        "sweep.accumulate",
         "sweep.array_cache",
-        "sweep.arrays",
-        "sweep.assignments",
         "sweep.batch",
-        "sweep.cut_search",
         "sweep.plan",
         "sweep.run",
     }
@@ -229,7 +223,7 @@ class SpanRecord:
     Attributes
     ----------
     name:
-        Span name (dotted taxonomy, e.g. ``"bottleneck.source_array"``).
+        Span name (dotted taxonomy, e.g. ``"bottleneck.arrays"``).
     attrs:
         Keyword attributes captured at span entry.
     start, end:

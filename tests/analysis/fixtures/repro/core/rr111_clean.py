@@ -6,7 +6,7 @@ from repro.obs.recorder import FLOW_SOLVES, SCREENED_SOLVES
 
 
 def accumulate_side(entries):
-    with span("sweep.accumulate", points=len(entries), strategy="grid"):
+    with span("bottleneck.accumulate", points=len(entries), strategy="grid"):
         realized = 0
         for entry in entries:
             count(FLOW_SOLVES)

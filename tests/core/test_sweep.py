@@ -605,3 +605,41 @@ class TestComputeReliabilitySweep:
         assert warm.flow_calls == 0
         assert warm.details["array_cache"]["misses"] == 0
         assert warm.details["array_cache"]["hits"] > 0
+
+
+class TestOneCutSearch:
+    """The pipeline resolves its cut once per query and once per sweep."""
+
+    @staticmethod
+    def _count_calls(monkeypatch, name):
+        import repro.core.sweep as sweep_module
+
+        calls = []
+        original = getattr(sweep_module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sweep_module, name, counted)
+        return calls
+
+    def test_auto_query_never_verifies(self, monkeypatch):
+        from repro.core.api import compute_reliability
+
+        verified = self._count_calls(monkeypatch, "verify_bottleneck")
+        found = self._count_calls(monkeypatch, "find_bottleneck")
+        result = compute_reliability(fujita_fig4(), demand=DEMAND)
+        assert result.method == "bottleneck"
+        assert verified == []
+        assert found == []  # the dispatch's own search is the only one
+
+    def test_demand_sweep_verifies_its_cut_once(self, monkeypatch):
+        verified = self._count_calls(monkeypatch, "verify_bottleneck")
+        net = fujita_fig4(failure_probability=0.1)
+        cut = bottleneck_reliability(net, DEMAND).details["cut"]
+        swept = compute_reliability_sweep(
+            net, DEMAND, sweep=SweepSpec.demand_rates([1, 2, 3, 4]), cut=cut
+        )
+        assert len(swept) == 4
+        assert len(verified) == 1
